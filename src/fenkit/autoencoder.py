@@ -120,7 +120,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps_adam: float = 1e-8
-    full_batch: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -130,8 +129,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be non-negative")
-        if not self.full_batch:
-            raise ValueError("only full-batch training is implemented")
 
 
 @dataclass

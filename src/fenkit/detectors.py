@@ -13,14 +13,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import ProcessDataset, ScalerStats, fit_standardize
-from .numerics import EPS_STD, covariance, empirical_quantile, sym_eig
+from .numerics import (
+    EPS_STD,
+    covariance,
+    empirical_quantile,
+    retained_count,
+    sym_eig,
+)
 
 MD_VARIANTS = ("MD1", "MD2", "MD3")
 KPCA_KERNELS = ("poly", "rbf", "cosine")
 BANK_MEMBERS = ("pca", "dpca", "md1", "md2", "md3")
 
 _COVARIANCE_RIDGE = 1e-6
-_EIG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -165,19 +170,11 @@ def _principal_subspace(standardized: np.ndarray, variance_fraction: float):
     Components below a relative rank floor never enter, so a fraction of
     1.0 retains exactly the covariance rank.
     """
-    if not (0.0 < variance_fraction <= 1.0):
-        raise ValueError("variance_fraction must lie in (0, 1]")
     eig = sym_eig(covariance(standardized))
-    eigenvalues = np.clip(eig.eigenvalues, 0.0, None)
-    total = eigenvalues.sum()
-    if total <= 0.0:
+    if eig.eigenvalues[0] <= 0.0:
         raise ValueError("degenerate covariance: training data has no variance")
-    eligible = eigenvalues > _EIG_FLOOR * eigenvalues[0]
-    rank = int(np.count_nonzero(eligible))
-    cumulative = np.cumsum(eigenvalues) / total
-    reached = np.nonzero(cumulative >= variance_fraction)[0]
-    t = rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
-    return eig.eigenvectors[:, :t], eigenvalues[:t]
+    t = retained_count(eig.eigenvalues, variance_fraction)
+    return eig.eigenvectors[:, :t], eig.eigenvalues[:t]
 
 
 def _augment_lags(values: np.ndarray, lags: int) -> np.ndarray:
@@ -371,12 +368,7 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         raise ValueError("degenerate kernel matrix: no positive eigenvalues")
     if float(eig.eigenvalues[-1]) < -1e-8 * top:
         raise ValueError("centered kernel matrix is not positive semi-definite")
-    eigenvalues = np.clip(eig.eigenvalues, 0.0, None)
-    eligible = eigenvalues > _EIG_FLOOR * top
-    rank = int(np.count_nonzero(eligible))
-    cumulative = np.cumsum(eigenvalues) / eigenvalues.sum()
-    reached = np.nonzero(cumulative >= variance_fraction)[0]
-    t = rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
+    t = retained_count(eig.eigenvalues, variance_fraction)
 
     alphas = eig.eigenvectors[:, :t]
     train_scores = centered @ alphas

@@ -34,16 +34,14 @@ from .detectors import (
     fit_md_detector,
     fit_pca_detector,
 )
-from .ensemble import build_feature_matrix
 from .pipeline import (
-    FenetModel,
     PipelineConfig,
-    _pipeline_config_dict,
-    detect,
+    encode,
     pipeline_config_from_parser,
     resolve_layer_configs,
+    score,
+    stages,
 )
-from .transform import fit_layer
 
 BASE_METHODS = ("pca_t2", "pca_q", "dpca_t2", "dpca_q", "md1", "md2", "md3",
                 "kpca_poly", "kpca_rbf", "kpca_cosine")
@@ -239,87 +237,53 @@ def _error_cells(spec: ScenarioSpec, methods, depths, message: str) -> list:
 
 def _pipeline_cells(spec: ScenarioSpec, train: ProcessDataset,
                     test: ProcessDataset, grid: ExperimentGrid) -> list:
-    """One cell per requested depth.
+    """One cell per requested depth, in grid order.
 
     Layer l depends only on the master seed and its own index, so a
-    single fit at the deepest depth yields every shallower model as an
-    exact prefix; each depth only refits its decision stage.
+    single pass over the stages of the deepest fit yields every
+    shallower model as an exact prefix; each depth only fits its
+    decision stage and scores the test stage the pass computed once.
     """
     config = grid.pipeline
     max_depth = max(grid.depths)
-    if config.layers:
-        resolved = list(config.layers[:max_depth])
-    else:
-        resolved = resolve_layer_configs(replace(config, l_max=max_depth,
-                                                 layers=()))
-    cells = []
+    layer_configs = resolve_layer_configs(
+        replace(config, l_max=max_depth, layers=config.layers[:max_depth]))
+    cells = {}
+    depth, failure = 0, None
     try:
         bank = fit_detector_bank(train, config.bank)
-        stages = [build_feature_matrix(bank, train)]
+        for layers, train_features, test_features in stages(
+                bank, layer_configs, train, test):
+            depth = len(layers)
+            if depth not in grid.depths:
+                continue
+            try:
+                decision = fit_decision(train_features.values, config.confidence,
+                                        config.norm_order)
+                result = score(decision, test_features, test)
+            except ValueError as error:
+                cells[depth] = ReportCell(spec.name, PIPELINE_METHOD, depth, None,
+                                          None, 0, spec.seed, error=str(error))
+                continue
+            cells[depth] = ReportCell(
+                spec.name, PIPELINE_METHOD, depth, result.summary.fdr,
+                result.summary.far, result.valid_from, spec.seed,
+            )
     except ValueError as error:
-        return _error_cells(spec, (PIPELINE_METHOD,), grid.depths, str(error))
-
-    layers = []
-    fit_error = None
-    for index, layer_config in enumerate(resolved):
-        try:
-            layer, features = fit_layer(stages[-1], layer_config)
-        except (ValueError, RuntimeError) as error:
-            fit_error = f"layer {index}: {error}"
-            break
-        layers.append(layer)
-        stages.append(features)
-
-    for depth in grid.depths:
-        if depth >= len(stages):
-            cells.append(ReportCell(spec.name, PIPELINE_METHOD, depth, None,
-                                    None, 0, spec.seed, error=fit_error))
-            continue
-        try:
-            decision = fit_decision(stages[depth].values, config.confidence,
-                                    config.norm_order)
-            model = FenetModel(bank, tuple(layers[:depth]), decision,
-                               replace(config, l_max=depth,
-                                       layers=tuple(resolved[:depth])))
-            result = detect(model, test)
-        except ValueError as error:
-            cells.append(ReportCell(spec.name, PIPELINE_METHOD, depth, None,
-                                    None, 0, spec.seed, error=str(error)))
-            continue
-        cells.append(ReportCell(
-            spec.name, PIPELINE_METHOD, depth, result.summary.fdr,
-            result.summary.far, result.valid_from, spec.seed,
-        ))
-    return cells
-
-
-def _scenario_dict(spec: ScenarioSpec) -> dict:
-    synthetic = None
-    if spec.synthetic is not None:
-        s = spec.synthetic
-        synthetic = {
-            "n_variables": s.n_variables, "n_train": s.n_train,
-            "n_test": s.n_test, "fault_type": s.fault_type,
-            "fault_amplitude": s.fault_amplitude,
-            "fault_channels": list(s.fault_channels),
-            "fault_onset": s.fault_onset, "seed": s.seed,
-        }
-    return {"name": spec.name, "synthetic": synthetic,
-            "train_path": spec.train_path, "test_path": spec.test_path,
-            "onset": spec.onset}
+        failure = str(error)
+    except RuntimeError as error:
+        # Training of the layer after the last yielded stage diverged.
+        failure = f"layer {depth}: {error}"
+    return [cells[d] if d in cells else
+            ReportCell(spec.name, PIPELINE_METHOD, d, None, None, 0, spec.seed,
+                       error=failure)
+            for d in grid.depths]
 
 
 def grid_hash(grid: ExperimentGrid) -> str:
     """Short deterministic digest of the full grid configuration; report
     files are named by it."""
-    payload = {
-        "scenarios": [_scenario_dict(s) for s in grid.scenarios],
-        "methods": list(grid.methods),
-        "depths": list(grid.depths),
-        "pipeline": _pipeline_config_dict(grid.pipeline,
-                                          resolve_layer_configs(grid.pipeline)),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(encode(grid), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 

@@ -15,6 +15,9 @@ EPS_STD = 1e-8
 
 SYMMETRY_TOL = 1e-9
 
+# Eigenvalues at or below this fraction of the largest are numerically zero.
+_EIG_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class SymmetricEig:
@@ -61,6 +64,23 @@ def sym_eig(matrix: np.ndarray) -> SymmetricEig:
     eigenvalues, eigenvectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
     order = np.argsort(eigenvalues)[::-1]
     return SymmetricEig(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors[:, order])
+
+
+def retained_count(eigenvalues: np.ndarray, variance_fraction: float) -> int:
+    """Smallest leading count of descending eigenvalues whose cumulative
+    share of the total reaches variance_fraction, capped at the numerical
+    rank, so a fraction of 1.0 retains exactly the rank.
+
+    Negative eigenvalues count as zero; the largest must be positive,
+    which each caller checks with its own message.
+    """
+    if not (0.0 < variance_fraction <= 1.0):
+        raise ValueError("variance_fraction must lie in (0, 1]")
+    eigenvalues = np.clip(eigenvalues, 0.0, None)
+    rank = int(np.count_nonzero(eigenvalues > _EIG_FLOOR * eigenvalues[0]))
+    cumulative = np.cumsum(eigenvalues) / eigenvalues.sum()
+    reached = np.nonzero(cumulative >= variance_fraction)[0]
+    return rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

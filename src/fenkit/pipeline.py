@@ -10,8 +10,9 @@ disk.
 import configparser
 import hashlib
 import json
+import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .decision import DecisionModel, alarms, detection_index, fit_decision
 from .detectors import (
     DetectorBank,
     DetectorBankConfig,
+    KpcaDetector,
     MdDetector,
     PcaDetector,
     fit_detector_bank,
@@ -36,7 +38,7 @@ from .transform import (
 )
 
 MAGIC = b"FENETAE1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 DEFAULT_LAYER_TEMPLATE = LayerConfig(window_width=150, subset_size=5)
 
@@ -130,6 +132,56 @@ def resolve_layer_configs(config: PipelineConfig) -> list:
     return resolved
 
 
+def stages(bank: DetectorBank, steps, train: ProcessDataset | None = None,
+           test: ProcessDataset | None = None):
+    """Walk the chain one stage at a time, yielding (layers, training
+    features, test features) at every depth from the bank features at
+    depth 0 on.
+
+    With training data each step is a LayerConfig, fitted on the previous
+    training stage; without it each step is a fitted TransformLayer. Test
+    data passes through the same layers, so each test stage is computed
+    once. A side given as None yields None.
+    """
+    if test is not None:
+        expected = _bank_input_width(bank)
+        if test.n_variables != expected:
+            raise ValueError(
+                f"test data has {test.n_variables} variables, model expects {expected}"
+            )
+    train_features = None if train is None else build_feature_matrix(bank, train)
+    test_features = None if test is None else build_feature_matrix(bank, test)
+    layers = ()
+    yield layers, train_features, test_features
+    for index, step in enumerate(steps):
+        layer = step
+        if train is not None:
+            try:
+                layer, train_features = fit_layer(train_features, step)
+            except ValueError as error:
+                raise ValueError(f"layer {index}: {error}") from error
+        layers += (layer,)
+        if test is not None:
+            test_features = apply_layer(layer, test_features)
+        yield layers, train_features, test_features
+
+
+def score(decision: DecisionModel, features: FeatureMatrix,
+          test: ProcessDataset) -> DetectionResult:
+    """Flag each row of a test stage against the decision and summarize
+    the rates; rows before the stage's sample_offset are not scored."""
+    index_values = np.atleast_1d(detection_index(decision, features.values))
+    flags = alarms(decision, index_values)
+    valid_from = features.sample_offset
+    fault = test.labels[valid_from:] > 0
+    normal = ~fault
+    fdr = float(flags[fault].mean()) if fault.any() else None
+    far = float(flags[normal].mean()) if normal.any() else None
+    summary = DetectionSummary(fdr, far, int(fault.sum()), int(normal.sum()))
+    return DetectionResult(index_values, decision.limit, flags, valid_from,
+                           summary)
+
+
 def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> FenetModel:
     """Fit the bank, the transformation stack, and the decision model on
     all-normal training data."""
@@ -149,17 +201,11 @@ def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> Fen
         raise ValueError("training too short: fewer than 2 rows reach the decision layer")
 
     bank = fit_detector_bank(train, config.bank)
-    features = build_feature_matrix(bank, train)
-    layers = []
-    for index, layer_config in enumerate(layer_configs):
-        try:
-            layer, features = fit_layer(features, layer_config)
-        except ValueError as error:
-            raise ValueError(f"layer {index}: {error}") from error
-        layers.append(layer)
-
+    for layers, features, _ in stages(bank, layer_configs, train):
+        pass
     decision = fit_decision(features.values, config.confidence, config.norm_order)
-    return FenetModel(bank, tuple(layers), decision, config)
+    return FenetModel(bank, layers, decision,
+                      replace(config, layers=tuple(layer_configs)))
 
 
 def _bank_input_width(bank: DetectorBank) -> int:
@@ -173,248 +219,85 @@ def _bank_input_width(bank: DetectorBank) -> int:
 def detect(model: FenetModel, test: ProcessDataset) -> DetectionResult:
     """Apply the frozen chain; rows before the first full window chain
     are not scored (valid_from gives their count)."""
-    expected = _bank_input_width(model.bank)
-    if test.n_variables != expected:
-        raise ValueError(
-            f"test data has {test.n_variables} variables, model expects {expected}"
-        )
-    features = build_feature_matrix(model.bank, test)
-    for layer in model.layers:
-        features = apply_layer(layer, features)
-    index_values = detection_index(model.decision, features.values)
-    index_values = np.atleast_1d(index_values)
-    flags = alarms(model.decision, index_values)
-    valid_from = features.sample_offset
-
-    labels = test.labels[valid_from:]
-    fault = labels > 0
-    normal = ~fault
-    fdr = float(flags[fault].mean()) if fault.any() else None
-    far = float(flags[normal].mean()) if normal.any() else None
-    summary = DetectionSummary(fdr, far, int(fault.sum()), int(normal.sum()))
-    return DetectionResult(index_values, model.decision.limit, flags,
-                           valid_from, summary)
+    for _, _, features in stages(model.bank, model.layers, test=test):
+        pass
+    return score(model.decision, features, test)
 
 
-def _train_config_dict(config: TrainConfig) -> dict:
-    return {
-        "epochs": config.epochs, "learning_rate": config.learning_rate,
-        "l1_weight": config.l1_weight, "beta1": config.beta1,
-        "beta2": config.beta2, "eps_adam": config.eps_adam,
-        "full_batch": config.full_batch, "seed": config.seed,
-    }
+# The only types a model file can build.
+_CODEC_TYPES = {cls.__name__: cls for cls in (
+    FenetModel, PipelineConfig, DetectorBankConfig, LayerConfig, Variant,
+    TrainConfig, DetectorBank, PcaDetector, MdDetector, KpcaDetector,
+    ScalerStats, TransformLayer, PcaReduction, Autoencoder, Layer,
+    DecisionModel,
+)}
 
 
-def _train_config_from(data: dict) -> TrainConfig:
-    return TrainConfig(**data)
+def encode(value, blob: bytearray | None = None):
+    """JSON-ready form of a value built from dataclasses: each dataclass
+    becomes a dict of its fields tagged with its type name, tuples become
+    lists, and each array is appended to `blob` as little-endian float64
+    and replaced by its shape and byte offset there (a value holding
+    arrays needs a blob)."""
+    if is_dataclass(value):
+        node = {"type": type(value).__name__}
+        node.update((f.name, encode(getattr(value, f.name), blob))
+                    for f in fields(value))
+        return node
+    if isinstance(value, np.ndarray):
+        array = np.ascontiguousarray(value, dtype="<f8")
+        node = {"type": "ndarray", "shape": list(array.shape), "offset": len(blob)}
+        blob += array.tobytes()
+        return node
+    if isinstance(value, (tuple, list)):
+        return [encode(item, blob) for item in value]
+    return value
 
 
-def _variant_dict(variant: Variant) -> dict:
-    return {"kind": variant.kind, "rho": variant.rho, "beta": variant.beta}
+def _decode_array(node: dict, blob: bytes) -> np.ndarray:
+    shape, offset = node.get("shape"), node.get("offset")
+    if (not isinstance(shape, list) or not isinstance(offset, int) or offset < 0
+            or not all(isinstance(n, int) and n >= 0 for n in shape)):
+        raise ValueError("malformed array reference")
+    count = math.prod(shape)
+    if offset + 8 * count > len(blob):
+        raise ValueError("array extends past the data block")
+    return np.frombuffer(blob, dtype="<f8", count=count,
+                         offset=offset).reshape(shape).copy()
 
 
-def _layer_config_dict(config: LayerConfig) -> dict:
-    return {
-        "window_width": config.window_width, "subset_size": config.subset_size,
-        "max_subsets": config.max_subsets,
-        "pca_variance_fraction": config.pca_variance_fraction,
-        "code_dim": config.code_dim, "ae_variant": _variant_dict(config.ae_variant),
-        "training": _train_config_dict(config.training),
-        "hidden_dims": list(config.hidden_dims), "seed": config.seed,
-    }
-
-
-def _layer_config_from(data: dict) -> LayerConfig:
-    return LayerConfig(
-        window_width=data["window_width"], subset_size=data["subset_size"],
-        max_subsets=data["max_subsets"],
-        pca_variance_fraction=data["pca_variance_fraction"],
-        code_dim=data["code_dim"], ae_variant=Variant(**data["ae_variant"]),
-        training=_train_config_from(data["training"]),
-        hidden_dims=tuple(data["hidden_dims"]), seed=data["seed"],
-    )
-
-
-def _pipeline_config_dict(config: PipelineConfig, resolved_layers) -> dict:
-    return {
-        "bank": {
-            "members": list(config.bank.members),
-            "pca_variance_fraction": config.bank.pca_variance_fraction,
-            "md2_variance_fraction": config.bank.md2_variance_fraction,
-            "dpca_lags": config.bank.dpca_lags,
-        },
-        "l_max": config.l_max,
-        "layers": [_layer_config_dict(c) for c in resolved_layers],
-        "confidence": config.confidence,
-        "norm_order": config.norm_order,
-        "master_seed": config.master_seed,
-    }
-
-
-def _pipeline_config_from(data: dict) -> PipelineConfig:
-    return PipelineConfig(
-        bank=DetectorBankConfig(
-            members=tuple(data["bank"]["members"]),
-            pca_variance_fraction=data["bank"]["pca_variance_fraction"],
-            md2_variance_fraction=data["bank"]["md2_variance_fraction"],
-            dpca_lags=data["bank"]["dpca_lags"],
-        ),
-        l_max=data["l_max"],
-        layers=tuple(_layer_config_from(c) for c in data["layers"]),
-        confidence=data["confidence"],
-        norm_order=data["norm_order"],
-        master_seed=data["master_seed"],
-    )
-
-
-class _BlobWriter:
-    def __init__(self):
-        self._chunks = []
-        self._size = 0
-
-    def ref(self, array) -> dict:
-        arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-        data = arr.tobytes()
-        ref = {"shape": list(arr.shape), "offset": self._size}
-        self._chunks.append(data)
-        self._size += len(data)
-        return ref
-
-    def blob(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-class _BlobReader:
-    def __init__(self, blob: bytes):
-        self._blob = blob
-
-    def array(self, ref: dict) -> np.ndarray:
-        shape = tuple(int(s) for s in ref["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        needed = ref["offset"] + count * 8
-        if needed > len(self._blob):
-            raise ValueError("model file is corrupt: array extends past the data block")
-        flat = np.frombuffer(self._blob, dtype="<f8", count=count,
-                             offset=int(ref["offset"]))
-        return flat.reshape(shape).copy()
-
-
-def _scaler_dict(scaler, writer) -> dict:
-    return {"mean": writer.ref(scaler.mean), "std": writer.ref(scaler.std)}
-
-
-def _scaler_from(data, reader):
-    return ScalerStats(reader.array(data["mean"]), reader.array(data["std"]))
-
-
-def _detector_dict(detector, writer) -> dict:
-    if isinstance(detector, PcaDetector):
-        return {
-            "kind": "pca", "projection": writer.ref(detector.projection),
-            "eigenvalues": writer.ref(detector.retained_eigenvalues),
-            "scaler": _scaler_dict(detector.scaler, writer),
-            "t": detector.t, "lags": detector.lags,
-        }
-    if isinstance(detector, MdDetector):
-        return {
-            "kind": "md", "variant": detector.variant,
-            "mean": writer.ref(detector.mean),
-            "inverse_covariance": writer.ref(detector.inverse_covariance),
-            "scaler": _scaler_dict(detector.scaler, writer),
-            "projection": None if detector.projection is None
-            else writer.ref(detector.projection),
-        }
-    raise TypeError(f"cannot serialize detector type {type(detector).__name__}")
-
-
-def _detector_from(data: dict, reader):
-    if data["kind"] == "pca":
-        return PcaDetector(
-            reader.array(data["projection"]), reader.array(data["eigenvalues"]),
-            _scaler_from(data["scaler"], reader), t=data["t"], lags=data["lags"],
-        )
-    if data["kind"] == "md":
-        projection = None if data["projection"] is None \
-            else reader.array(data["projection"])
-        return MdDetector(
-            data["variant"], reader.array(data["mean"]),
-            reader.array(data["inverse_covariance"]),
-            _scaler_from(data["scaler"], reader), projection,
-        )
-    raise ValueError(f"unknown detector kind {data['kind']!r} in model file")
-
-
-def _autoencoder_dict(ae: Autoencoder, writer) -> dict:
-    def stack(layers):
-        return [{"weights": writer.ref(l.weights), "bias": writer.ref(l.bias),
-                 "activation": l.activation} for l in layers]
-
-    return {"variant": _variant_dict(ae.variant), "code_dim": ae.code_dim,
-            "encoder": stack(ae.encoder_layers), "decoder": stack(ae.decoder_layers)}
-
-
-def _autoencoder_from(data: dict, reader) -> Autoencoder:
-    def stack(entries):
-        return tuple(Layer(reader.array(e["weights"]), reader.array(e["bias"]),
-                           e["activation"]) for e in entries)
-
-    return Autoencoder(stack(data["encoder"]), stack(data["decoder"]),
-                       Variant(**data["variant"]), data["code_dim"])
-
-
-def _layer_dict(layer: TransformLayer, writer) -> dict:
-    return {
-        "config": _layer_config_dict(layer.config),
-        "input_features": layer.input_features,
-        "subsets": [list(s) for s in layer.subsets],
-        "reduction_mean": writer.ref(layer.reduction.mean),
-        "reduction_projection": writer.ref(layer.reduction.projection),
-        "score_scale": writer.ref(layer.score_scale),
-        "autoencoder": _autoencoder_dict(layer.autoencoder, writer),
-        "code_mean": writer.ref(layer.code_mean),
-        "code_std": writer.ref(layer.code_std),
-    }
-
-
-def _layer_from(data: dict, reader) -> TransformLayer:
-    return TransformLayer(
-        config=_layer_config_from(data["config"]),
-        input_features=data["input_features"],
-        subsets=tuple(tuple(s) for s in data["subsets"]),
-        reduction=PcaReduction(reader.array(data["reduction_mean"]),
-                               reader.array(data["reduction_projection"])),
-        score_scale=reader.array(data["score_scale"]),
-        autoencoder=_autoencoder_from(data["autoencoder"], reader),
-        code_mean=reader.array(data["code_mean"]),
-        code_std=reader.array(data["code_std"]),
-    )
+def _decode(node, blob: bytes):
+    """Inverse of `encode` for the types a model file can hold; any other
+    type name, an unknown field or a bad array reference raises
+    ValueError."""
+    if isinstance(node, list):
+        return tuple(_decode(item, blob) for item in node)
+    if not isinstance(node, dict):
+        return node
+    kind = node.get("type")
+    if kind == "ndarray":
+        return _decode_array(node, blob)
+    cls = _CODEC_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValueError(f"unknown type {kind!r}")
+    unknown = node.keys() - {"type"} - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown field {min(unknown)!r} in {kind}")
+    values = {key: _decode(value, blob) for key, value in node.items()
+              if key != "type"}
+    try:
+        return cls(**values)
+    except (TypeError, AttributeError) as error:
+        raise ValueError(f"malformed {kind}: {error}") from error
 
 
 def save(model: FenetModel, path) -> None:
     """Single self-describing binary: magic, version, JSON header, raw
     float64 block, trailing content checksum."""
-    writer = _BlobWriter()
-    header = {
-        "config": _pipeline_config_dict(model.config,
-                                        [l.config for l in model.layers]
-                                        if model.layers else
-                                        resolve_layer_configs(model.config)),
-        "bank": {
-            "detectors": [_detector_dict(d, writer) for d in model.bank.detectors],
-            "feature_names": list(model.bank.feature_names),
-        },
-        "layers": [_layer_dict(l, writer) for l in model.layers],
-        "decision": {
-            "mean": writer.ref(model.decision.mean),
-            "std": writer.ref(model.decision.std),
-            "norm_order": model.decision.norm_order,
-            "limit": model.decision.limit,
-            "confidence": model.decision.confidence,
-        },
-    }
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    body = (MAGIC + struct.pack("<I", FORMAT_VERSION)
-            + struct.pack("<Q", len(header_bytes)) + header_bytes + writer.blob())
+    blob = bytearray()
+    header = json.dumps(encode(model, blob), separators=(",", ":")).encode("utf-8")
+    body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header
+            + bytes(blob))
     with open(path, "wb") as handle:
         handle.write(body)
         handle.write(hashlib.sha256(body).digest())
@@ -430,67 +313,63 @@ def load(path) -> FenetModel:
     body, digest = data[:-32], data[-32:]
     if hashlib.sha256(body).digest() != digest:
         raise ValueError(f"{path}: checksum mismatch, file is corrupt or truncated")
-    version = struct.unpack_from("<I", body, len(MAGIC))[0]
-    if version > FORMAT_VERSION:
+    version, header_len = struct.unpack_from("<IQ", body, len(MAGIC))
+    if version != FORMAT_VERSION:
         raise ValueError(
-            f"{path}: model format version {version} is newer than the supported "
-            f"version {FORMAT_VERSION}"
+            f"{path}: model format version {version} is not readable by this "
+            f"fenkit, which reads version {FORMAT_VERSION}; refit the model"
         )
-    header_len = struct.unpack_from("<Q", body, len(MAGIC) + 4)[0]
     header_start = len(MAGIC) + 12
-    header = json.loads(body[header_start:header_start + header_len].decode("utf-8"))
-    reader = _BlobReader(body[header_start + header_len:])
+    header_end = header_start + header_len
+    if header_end > len(body):
+        raise ValueError(f"{path}: model header extends past the end of the file")
+    try:
+        header = json.loads(body[header_start:header_end].decode("utf-8"))
+        model = _decode(header, body[header_end:])
+    except ValueError as error:
+        raise ValueError(f"{path}: malformed model header: {error}") from error
+    if not isinstance(model, FenetModel):
+        raise ValueError(f"{path}: model header does not describe a model")
+    return model
 
-    bank = DetectorBank(
-        tuple(_detector_from(d, reader) for d in header["bank"]["detectors"]),
-        tuple(header["bank"]["feature_names"]),
-    )
-    layers = tuple(_layer_from(l, reader) for l in header["layers"])
-    decision = DecisionModel(
-        reader.array(header["decision"]["mean"]),
-        reader.array(header["decision"]["std"]),
-        header["decision"]["norm_order"], header["decision"]["limit"],
-        header["decision"]["confidence"],
-    )
-    config = _pipeline_config_from(header["config"])
-    return FenetModel(bank, layers, decision, config, format_version=version)
+
+# INI key -> field name, per section; [layer] also carries the
+# autoencoder variant under its own key names.
+_INI_FIELDS = {section: {key: key for key in keys} for section, keys in (
+    ("pipeline", ("l_max", "confidence", "norm_order", "master_seed")),
+    ("detectors", ("members", "pca_variance_fraction", "md2_variance_fraction",
+                   "dpca_lags")),
+    ("layer", ("window_width", "subset_size", "max_subsets",
+               "pca_variance_fraction", "code_dim", "hidden_dims")),
+    ("training", ("epochs", "learning_rate", "l1_weight", "beta1", "beta2",
+                  "eps_adam")),
+)}
+_VARIANT_FIELDS = {"variant": "kind", "sparse_rho": "rho", "sparse_beta": "beta"}
+
+
+def _ini_text(value) -> str:
+    return " ".join(str(item) for item in value) if isinstance(value, tuple) \
+        else str(value)
+
+
+def _ini_value(text: str, default):
+    """INI text parsed to the type of the field's default value."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(token) for token in text.split())
+    return type(default)(text)
 
 
 def write_pipeline_config(config: PipelineConfig, path) -> None:
     """Sectioned key = value rendering of a template-based config."""
     template = config.layers[0] if config.layers else config.layer_template
+    sources = {"pipeline": config, "detectors": config.bank, "layer": template,
+               "training": template.training}
     parser = configparser.ConfigParser()
-    parser["pipeline"] = {
-        "l_max": str(config.l_max),
-        "confidence": repr(config.confidence),
-        "norm_order": str(config.norm_order),
-        "master_seed": str(config.master_seed),
-    }
-    parser["detectors"] = {
-        "members": " ".join(config.bank.members),
-        "pca_variance_fraction": repr(config.bank.pca_variance_fraction),
-        "md2_variance_fraction": repr(config.bank.md2_variance_fraction),
-        "dpca_lags": str(config.bank.dpca_lags),
-    }
-    parser["layer"] = {
-        "window_width": str(template.window_width),
-        "subset_size": str(template.subset_size),
-        "max_subsets": str(template.max_subsets),
-        "pca_variance_fraction": repr(template.pca_variance_fraction),
-        "code_dim": str(template.code_dim),
-        "variant": template.ae_variant.kind,
-        "sparse_rho": repr(template.ae_variant.rho),
-        "sparse_beta": repr(template.ae_variant.beta),
-        "hidden_dims": " ".join(str(d) for d in template.hidden_dims),
-    }
-    parser["training"] = {
-        "epochs": str(template.training.epochs),
-        "learning_rate": repr(template.training.learning_rate),
-        "l1_weight": repr(template.training.l1_weight),
-        "beta1": repr(template.training.beta1),
-        "beta2": repr(template.training.beta2),
-        "eps_adam": repr(template.training.eps_adam),
-    }
+    for section, names in _INI_FIELDS.items():
+        parser[section] = {key: _ini_text(getattr(sources[section], field))
+                           for key, field in names.items()}
+    parser["layer"].update({key: _ini_text(getattr(template.ae_variant, field))
+                            for key, field in _VARIANT_FIELDS.items()})
     with open(path, "w", encoding="utf-8") as handle:
         parser.write(handle)
 
@@ -499,60 +378,29 @@ def read_pipeline_config(path) -> PipelineConfig:
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    for section in ("pipeline", "detectors", "layer", "training"):
+    for section in _INI_FIELDS:
         if section not in parser:
             raise ValueError(f"{path}: missing [{section}] section")
     return pipeline_config_from_parser(parser)
 
 
 def pipeline_config_from_parser(parser: configparser.ConfigParser) -> PipelineConfig:
-    """Config from already-parsed sections; absent sections fall back to
-    defaults, so embedding files may carry only the overrides."""
-    def section(name):
-        if name in parser:
-            return parser[name]
-        fallback = configparser.ConfigParser()
-        fallback.add_section(name)
-        return fallback[name]
+    """Config from already-parsed sections; absent sections and keys fall
+    back to the defaults of PipelineConfig(), so embedding files may carry
+    only the overrides."""
+    def read(section, defaults, names):
+        values = parser[section] if section in parser else {}
+        return replace(defaults, **{
+            field: _ini_value(values[key], getattr(defaults, field))
+            for key, field in names.items() if key in values})
 
-    pipe, det, layer, training = (section("pipeline"), section("detectors"),
-                                  section("layer"), section("training"))
-    train_config = TrainConfig(
-        epochs=training.getint("epochs", 2000),
-        learning_rate=training.getfloat("learning_rate", 0.001),
-        l1_weight=training.getfloat("l1_weight", 1.0),
-        beta1=training.getfloat("beta1", 0.9),
-        beta2=training.getfloat("beta2", 0.999),
-        eps_adam=training.getfloat("eps_adam", 1e-8),
+    defaults = PipelineConfig()
+    template = DEFAULT_LAYER_TEMPLATE
+    layer = replace(
+        read("layer", template, _INI_FIELDS["layer"]),
+        ae_variant=read("layer", template.ae_variant, _VARIANT_FIELDS),
+        training=read("training", template.training, _INI_FIELDS["training"]),
     )
-    variant = Variant(
-        kind=layer.get("variant", "plain"),
-        rho=layer.getfloat("sparse_rho", 0.05),
-        beta=layer.getfloat("sparse_beta", 1.0),
-    )
-    hidden = tuple(int(tok) for tok in layer.get("hidden_dims", "128 64").split())
-    template = LayerConfig(
-        window_width=layer.getint("window_width", 150),
-        subset_size=layer.getint("subset_size", 5),
-        max_subsets=layer.getint("max_subsets", 30),
-        pca_variance_fraction=layer.getfloat("pca_variance_fraction", 0.95),
-        code_dim=layer.getint("code_dim", 20),
-        ae_variant=variant,
-        training=train_config,
-        hidden_dims=hidden,
-    )
-    bank = DetectorBankConfig(
-        members=tuple(det.get("members", " ".join(("pca", "dpca", "md1", "md2",
-                                                   "md3"))).split()),
-        pca_variance_fraction=det.getfloat("pca_variance_fraction", 0.9),
-        md2_variance_fraction=det.getfloat("md2_variance_fraction", 0.95),
-        dpca_lags=det.getint("dpca_lags", 2),
-    )
-    return PipelineConfig(
-        bank=bank,
-        l_max=pipe.getint("l_max", 2),
-        layer_template=template,
-        confidence=pipe.getfloat("confidence", 0.99),
-        norm_order=pipe.getint("norm_order", 1),
-        master_seed=int(pipe.get("master_seed", "0")),
-    )
+    return replace(read("pipeline", defaults, _INI_FIELDS["pipeline"]),
+                   bank=read("detectors", defaults.bank, _INI_FIELDS["detectors"]),
+                   layer_template=layer)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autoencoder import (
+    DEFAULT_HIDDEN_DIMS,
     Autoencoder,
     TrainConfig,
     Variant,
@@ -25,10 +26,13 @@ from .autoencoder import (
     train,
 )
 from .ensemble import FeatureMatrix
-from .numerics import EPS_STD, covariance, singular_values, sym_eig
-
-_EIG_FLOOR = 1e-12
-DEFAULT_HIDDEN_DIMS = (128, 64)
+from .numerics import (
+    EPS_STD,
+    covariance,
+    retained_count,
+    singular_values,
+    sym_eig,
+)
 
 
 def derive_seed(*components) -> int:
@@ -97,8 +101,8 @@ class PcaReduction:
 @dataclass(frozen=True)
 class TransformLayer:
     """Frozen state of one fitted layer: the column subsets, the PCA
-    reduction with its per-column score scale, the trained autoencoder,
-    and the mean/std of the training codes."""
+    reduction with its per-column score scale, and the trained
+    autoencoder."""
 
     config: LayerConfig
     input_features: int
@@ -106,25 +110,18 @@ class TransformLayer:
     reduction: PcaReduction
     score_scale: np.ndarray
     autoencoder: Autoencoder
-    code_mean: np.ndarray
-    code_std: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
-        for field_name in ("score_scale", "code_mean", "code_std"):
-            arr = np.array(getattr(self, field_name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, field_name, arr)
+        score_scale = np.array(self.score_scale, dtype=np.float64)
+        score_scale.setflags(write=False)
+        object.__setattr__(self, "score_scale", score_scale)
         if self.input_features < 1:
             raise ValueError("input_features must be positive")
         for subset in self.subsets:
             if len(set(subset)) != len(subset) or any(
                     not (0 <= idx < self.input_features) for idx in subset):
                 raise ValueError(f"subset {subset} invalid for {self.input_features} columns")
-        if self.code_mean.shape != self.code_std.shape:
-            raise ValueError("code_mean and code_std must have equal shapes")
-        if np.any(self.code_std < EPS_STD):
-            raise ValueError(f"code_std entries must be >= {EPS_STD}")
 
 
 def select_column_subsets(m_l: int, h_l: int, max_subsets: int, seed: int) -> list:
@@ -201,18 +198,10 @@ def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError("PCA reduction needs at least 2 rows")
-    if not (0.0 < variance_fraction <= 1.0):
-        raise ValueError("variance_fraction must lie in (0, 1]")
     eig = sym_eig(covariance(values))
-    eigenvalues = np.clip(eig.eigenvalues, 0.0, None)
-    total = eigenvalues.sum()
-    if total <= 0.0:
+    if eig.eigenvalues[0] <= 0.0:
         raise ValueError("degenerate input: all columns are constant")
-    eligible = eigenvalues > _EIG_FLOOR * eigenvalues[0]
-    rank = int(np.count_nonzero(eligible))
-    cumulative = np.cumsum(eigenvalues) / total
-    reached = np.nonzero(cumulative >= variance_fraction)[0]
-    t = rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
+    t = retained_count(eig.eigenvalues, variance_fraction)
     reduction = PcaReduction(values.mean(axis=0), eig.eigenvectors[:, :t])
     return reduction, (values - reduction.mean) @ reduction.projection
 
@@ -251,11 +240,9 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
                           derive_seed(config.seed, 1), hidden_dims=config.hidden_dims)
     trained, _ = train(ae, scaled, config.training)
     codes, _ = forward(trained, scaled)
-    code_mean = codes.mean(axis=0)
-    code_std = np.maximum(codes.std(axis=0, ddof=1), EPS_STD)
 
     layer = TransformLayer(config, m_l, tuple(subsets), reduction, score_scale,
-                           trained, code_mean, code_std)
+                           trained)
     next_features = FeatureMatrix(
         codes, layer=features.layer + 1,
         feature_names=tuple(f"code{j}" for j in range(codes.shape[1])),

@@ -419,5 +419,3 @@ class TestTrain:
             TrainConfig(epochs=-1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=1, learning_rate=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=1, full_batch=False)

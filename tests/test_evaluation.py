@@ -7,6 +7,7 @@ import csv
 import numpy as np
 import pytest
 
+from fenkit import pipeline
 from fenkit.autoencoder import TrainConfig
 from fenkit.datasets import SyntheticConfig, generate_synthetic, write_csv
 from fenkit.evaluation import (
@@ -204,6 +205,23 @@ class TestRunExperiment:
                         and c.l_max == depth)
             assert cell.fdr == direct.summary.fdr
             assert cell.far == direct.summary.far
+
+    def test_each_test_stage_scored_once(self, monkeypatch):
+        """Depths 0-2 apply each fitted layer to the test record once:
+        two layer applications, not one per layer per deeper depth."""
+        applied = []
+        apply_layer = pipeline.apply_layer
+
+        def counting(layer, features):
+            applied.append(layer)
+            return apply_layer(layer, features)
+
+        monkeypatch.setattr(pipeline, "apply_layer", counting)
+        grid = ExperimentGrid(scenarios=(step_scenario(),), methods=("ae",),
+                              depths=(0, 1, 2), pipeline=PIPELINE)
+        report = run_experiment(grid)
+        assert all(cell.error is None for cell in report.cells)
+        assert len(applied) == 2
 
     def test_determinism(self, small_report):
         grid, report = small_report

@@ -322,6 +322,49 @@ class TestModelFile:
         with pytest.raises(ValueError, match="version 2"):
             load(path)
 
+    def test_old_version_asks_for_refit(self, fitted, tmp_path):
+        """Version-1 files are not read; the message names the version
+        and says to refit."""
+        path = tmp_path / "model.fenet"
+        save(fitted, path)
+        body = bytearray(path.read_bytes()[:-32])
+        struct.pack_into("<I", body, len(MAGIC), 1)
+        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        with pytest.raises(ValueError, match="version 1 .*refit"):
+            load(path)
+
+    @pytest.mark.parametrize("header, extra_length, message", [
+        pytest.param("{}", 0, "unknown type None", id="empty-object"),
+        pytest.param('{"bank": {}}', 0, "unknown type None", id="untyped"),
+        pytest.param("[]", 0, "does not describe a model", id="list"),
+        pytest.param('"x"', 0, "does not describe a model", id="string"),
+        pytest.param("{}", 100, "past the end of the file", id="long-header"),
+        pytest.param('{"type": "Popen"}', 0, "unknown type 'Popen'",
+                     id="unknown-type"),
+        pytest.param('{"type": "Variant", "kind": "plain", "extra": 1}', 0,
+                     "unknown field 'extra'", id="unknown-field"),
+        pytest.param('{"type": "Layer"}', 0, "malformed Layer",
+                     id="missing-fields"),
+        pytest.param('{"type": "ScalerStats", "mean": {"type": "ndarray", '
+                     '"shape": [-1], "offset": 0}, "std": []}', 0,
+                     "malformed array reference", id="negative-shape"),
+        pytest.param('{"type": "ScalerStats", "mean": {"type": "ndarray", '
+                     '"shape": [4], "offset": 0}, "std": []}', 0,
+                     "past the data block", id="array-past-data"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, extra_length,
+                                       message):
+        """Checksum-valid files whose header is malformed fail with a
+        named ValueError, never a KeyError or TypeError."""
+        header_bytes = header.encode("utf-8")
+        body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION,
+                                    len(header_bytes) + extra_length)
+                + header_bytes)
+        path = tmp_path / "model.fenet"
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(ValueError, match=message):
+            load(path)
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
@@ -347,6 +390,12 @@ class TestConfigFile:
     def test_defaults_round_trip(self, tmp_path):
         path = tmp_path / "pipeline.ini"
         write_pipeline_config(PipelineConfig(), path)
+        assert read_pipeline_config(path) == PipelineConfig()
+
+    def test_empty_sections_read_as_defaults(self, tmp_path):
+        """Every absent key falls back to the PipelineConfig() default."""
+        path = tmp_path / "pipeline.ini"
+        path.write_text("[pipeline]\n[detectors]\n[layer]\n[training]\n")
         assert read_pipeline_config(path) == PipelineConfig()
 
     def test_missing_file(self, tmp_path):

@@ -234,7 +234,6 @@ class TestFitLayer:
         assert nxt.layer == 1
         assert nxt.sample_offset == 19
         assert layer.input_features == 5
-        assert layer.code_mean.shape == (4,)
 
     def test_apply_reproduces_fit_output(self):
         fm = self.layer_input(seed=19)
