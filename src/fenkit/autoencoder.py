@@ -75,8 +75,8 @@ class Variant:
 
 @dataclass(frozen=True)
 class Autoencoder:
-    encoder_layers: tuple
-    decoder_layers: tuple
+    encoder_layers: tuple[Layer, ...]
+    decoder_layers: tuple[Layer, ...]
     variant: Variant
     code_dim: int
 
@@ -156,8 +156,8 @@ def _activate(z: np.ndarray, tag: str) -> np.ndarray:
 
 
 def _activation_derivative(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "linear":
-        return np.ones_like(z)
+    """Derivative of a nonlinear activation; linear layers pass the
+    gradient through unchanged."""
     if tag == "relu":
         return (z > 0.0).astype(np.float64)
     s = _sigmoid(z)
@@ -226,7 +226,7 @@ def _backprop_stack(specs, caches, upstream):
     for k in range(len(specs) - 1, -1, -1):
         weights, _, activation = specs[k]
         a_prev, z = caches[k]
-        delta = da * _activation_derivative(z, activation)
+        delta = da if activation == "linear" else da * _activation_derivative(z, activation)
         grads[k] = (a_prev.T @ delta, delta.sum(axis=0))
         da = delta @ weights.T
     return grads, da
@@ -236,6 +236,9 @@ def _split_head(head, code_dim):
     return head[:, :code_dim], head[:, code_dim:]
 
 
+# Overflow surfaces as non-finite values that callers detect and report;
+# the IEEE warnings would only duplicate that.
+@np.errstate(over="ignore", invalid="ignore")
 def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
               want_grads):
     """Shared forward/backward core for loss() and gradients().
@@ -244,18 +247,7 @@ def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
     average over batch rows; the code L1 penalty averages over rows and
     code dimensions; the sparse KL sums per-unit activity penalties.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    n_rows, n_dims = batch.shape
-
-    # Overflow surfaces as non-finite values that callers detect and
-    # report; the IEEE warnings would only duplicate that.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _evaluate_unchecked(enc_specs, dec_specs, variant, code_dim, batch,
-                                   l1_weight, noise, want_grads, n_rows)
-
-
-def _evaluate_unchecked(enc_specs, dec_specs, variant, code_dim, batch, l1_weight,
-                        noise, want_grads, n_rows):
+    n_rows = batch.shape[0]
     head, enc_caches = _run_stack(enc_specs, batch)
     mu = logvar = sigma = None
     if variant.kind == "variational":
@@ -326,15 +318,10 @@ def _check_batch(ae: Autoencoder, batch) -> np.ndarray:
 
 
 def forward(ae: Autoencoder, x: np.ndarray) -> tuple:
-    """Inference pass: (code, reconstruction), sampling-free.
-
-    The variational code is the posterior mean.  Accepts a single vector
-    or a matrix of row vectors.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = _check_batch(ae, x[None, :] if single else x)
-
+    """Inference pass over a sample matrix: (codes, reconstructions), one
+    row per sample, sampling-free.  The variational code is the
+    posterior mean."""
+    batch = _check_batch(ae, x)
     with np.errstate(over="ignore", invalid="ignore"):
         head, _ = _run_stack(_as_specs(ae.encoder_layers), batch)
         code = (_split_head(head, ae.code_dim)[0]
@@ -342,8 +329,6 @@ def forward(ae: Autoencoder, x: np.ndarray) -> tuple:
         recon, _ = _run_stack(_as_specs(ae.decoder_layers), code)
     if not (np.all(np.isfinite(code)) and np.all(np.isfinite(recon))):
         raise ValueError("non-finite values in forward pass")
-    if single:
-        return code[0], recon[0]
     return code, recon
 
 

@@ -42,6 +42,9 @@ class ProcessDataset:
             raise ValueError(
                 f"labels length {labels.shape} does not match row count {values.shape[0]}"
             )
+        if np.any(labels < 0):
+            raise ValueError(
+                "labels must be non-negative: 0 is normal, a positive value a fault id")
         if self.sample_interval_minutes <= 0:
             raise ValueError("sample_interval_minutes must be positive")
         values.setflags(write=False)

@@ -42,22 +42,17 @@ class DecisionModel:
         return self.mean.shape[0]
 
 
-def detection_index(model: DecisionModel, code: np.ndarray):
-    """p-norm of the standardized code; vector in, scalar out; matrix in,
-    per-row array out."""
-    code = np.asarray(code, dtype=np.float64)
-    single = code.ndim == 1
-    rows = code[None, :] if single else code
-    if rows.shape[1] != model.code_dim:
+def detection_index(model: DecisionModel, code: np.ndarray) -> np.ndarray:
+    """p-norm of each standardized code row."""
+    rows = np.asarray(code, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.code_dim:
         raise ValueError(
-            f"code has {rows.shape[1]} dimensions, model expects {model.code_dim}"
+            f"code matrix has shape {rows.shape}, model expects {model.code_dim} columns"
         )
     z = np.abs((rows - model.mean) / model.std)
     if model.norm_order == 1:
-        d = z.sum(axis=1)
-    else:
-        d = (z ** model.norm_order).sum(axis=1) ** (1.0 / model.norm_order)
-    return float(d[0]) if single else d
+        return z.sum(axis=1)
+    return (z ** model.norm_order).sum(axis=1) ** (1.0 / model.norm_order)
 
 
 def fit_decision(train_codes: np.ndarray, confidence: float = 0.99,

@@ -120,7 +120,7 @@ class KpcaDetector:
 class DetectorBankConfig:
     """Which detectors enter the bank and their fit settings."""
 
-    members: tuple = BANK_MEMBERS
+    members: tuple[str, ...] = BANK_MEMBERS
     pca_variance_fraction: float = 0.9
     md2_variance_fraction: float = 0.95
     dpca_lags: int = 2
@@ -143,8 +143,8 @@ class DetectorBankConfig:
 class DetectorBank:
     """Fitted detectors in a fixed order with one name per feature."""
 
-    detectors: tuple
-    feature_names: tuple
+    detectors: tuple[PcaDetector | MdDetector | KpcaDetector, ...]
+    feature_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
@@ -200,42 +200,38 @@ def _regularized_inverse(matrix: np.ndarray) -> np.ndarray:
     return (inverse + inverse.T) / 2.0
 
 
-def fit_pca_detector(train: ProcessDataset, variance_fraction: float = 0.9) -> PcaDetector:
-    """Retain the smallest component count whose cumulative eigenvalue
-    fraction reaches variance_fraction."""
-    scaler = fit_standardize(train)
-    projection, eigenvalues = _principal_subspace(
-        _standardized(train.values, scaler), variance_fraction)
-    return PcaDetector(projection, eigenvalues, scaler, t=projection.shape[1])
-
-
-def score_pca(model: PcaDetector, x: np.ndarray) -> tuple:
-    """(T2, Q): retained-subspace energy and squared reconstruction
-    residual of the standardized sample.  Vector in, scalars out; matrix
-    in, arrays out."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    values = x[None, :] if single else x
-    if values.shape[1] != model.scaler.mean.shape[0]:
+def _sample_matrix(values, detector) -> np.ndarray:
+    """Samples as float rows of the width the detector was fitted on."""
+    values = np.asarray(values, dtype=np.float64)
+    width = input_width(detector)
+    if values.ndim != 2 or values.shape[1] != width:
         raise ValueError(
-            f"sample has {values.shape[1]} variables, detector expects "
-            f"{model.scaler.mean.shape[0]}"
+            f"sample matrix has shape {values.shape}, detector expects {width} variables"
         )
-    standardized = _standardized(values, model.scaler)
-    scores = standardized @ model.projection
-    t2 = np.sum(scores * scores / model.retained_eigenvalues, axis=1)
-    residual = standardized - scores @ model.projection.T
-    q = np.sum(residual * residual, axis=1)
-    if single:
-        return float(t2[0]), float(q[0])
-    return t2, q
+    return values
+
+
+def _pad_head(scores: np.ndarray, lags: int) -> np.ndarray:
+    """The first `lags` samples reuse the earliest complete lag window, so
+    output length equals input length."""
+    return np.concatenate([np.full(lags, scores[0]), scores])
+
+
+def fit_pca_detector(train: ProcessDataset, variance_fraction: float = 0.9) -> PcaDetector:
+    """Static PCA detector: the dynamic one at lag 0."""
+    return fit_dpca_detector(train, 0, variance_fraction)
+
+
+def score_pca(model: PcaDetector, values: np.ndarray) -> tuple:
+    """(T2, Q) per sample row; see score_dpca."""
+    return score_dpca(model, values)
 
 
 def fit_dpca_detector(train: ProcessDataset, lags: int = 2,
                       variance_fraction: float = 0.9) -> PcaDetector:
-    """PCA detector over lag-augmented sample vectors."""
-    if lags == 0:
-        return fit_pca_detector(train, variance_fraction)
+    """PCA over lag-augmented sample vectors, retaining the smallest
+    component count whose cumulative eigenvalue fraction reaches
+    variance_fraction."""
     augmented = _augment_lags(train.values, lags)
     if augmented.shape[0] < 2:
         raise ValueError("not enough rows after lag augmentation")
@@ -246,17 +242,16 @@ def fit_dpca_detector(train: ProcessDataset, lags: int = 2,
 
 
 def score_dpca(model: PcaDetector, values: np.ndarray) -> tuple:
-    """Scores a whole sequence; the first `lags` samples reuse the
-    earliest complete lag window so output length equals input length."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2:
-        raise ValueError("dynamic scoring needs a sequence matrix")
-    if model.lags == 0:
-        return score_pca(model, values)
-    augmented = _augment_lags(values, model.lags)
-    t2, q = score_pca(model, augmented)
-    head = np.full(model.lags, t2[0]), np.full(model.lags, q[0])
-    return np.concatenate([head[0], t2]), np.concatenate([head[1], q])
+    """(T2, Q) per row of a sample sequence: retained-subspace energy and
+    squared reconstruction residual of the standardized lag-augmented
+    sample; the first `lags` rows reuse the earliest complete window."""
+    values = _sample_matrix(values, model)
+    standardized = _standardized(_augment_lags(values, model.lags), model.scaler)
+    scores = standardized @ model.projection
+    t2 = np.sum(scores * scores / model.retained_eigenvalues, axis=1)
+    residual = standardized - scores @ model.projection.T
+    q = np.sum(residual * residual, axis=1)
+    return _pad_head(t2, model.lags), _pad_head(q, model.lags)
 
 
 def fit_md_detector(train: ProcessDataset, variant: str,
@@ -285,35 +280,16 @@ def _mahalanobis(model: MdDetector, space: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(quad, 0.0, None))
 
 
-def score_md(model: MdDetector, x: np.ndarray):
-    """Mahalanobis distance in the variant's space.
-
-    MD1/MD2 accept a sample vector (scalar out) or matrix (array out).
-    MD3 scores a sequence matrix with the first sample reusing the
-    earliest complete lag window; a single already-augmented vector of
-    length 2m is also accepted.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    m = model.scaler.mean.shape[0]
-    if model.variant == "MD3":
-        if x.ndim == 1:
-            if x.shape[0] != 2 * m:
-                raise ValueError(f"augmented vector must have length {2 * m}")
-            return float(_mahalanobis(model, x[None, :])[0])
-        if x.shape[1] != m:
-            raise ValueError(f"sequence has {x.shape[1]} variables, expected {m}")
-        augmented = _augment_lags(_standardized(x, model.scaler), 1)
-        d = _mahalanobis(model, augmented)
-        return np.concatenate([[d[0]], d])
-    single = x.ndim == 1
-    values = x[None, :] if single else x
-    if values.shape[1] != m:
-        raise ValueError(f"sample has {values.shape[1]} variables, expected {m}")
+def score_md(model: MdDetector, values: np.ndarray) -> np.ndarray:
+    """Mahalanobis distance per sample row in the variant's space; MD3's
+    first row reuses the earliest complete lag window."""
+    values = _sample_matrix(values, model)
     space = _standardized(values, model.scaler)
+    if model.variant == "MD3":
+        return _pad_head(_mahalanobis(model, _augment_lags(space, 1)), 1)
     if model.variant == "MD2":
         space = space @ model.projection
-    d = _mahalanobis(model, space)
-    return float(d[0]) if single else d
+    return _mahalanobis(model, space)
 
 
 def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray, degree: float = 3.0,
@@ -358,11 +334,14 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         bandwidth = max(median_pairwise_distance(rows), EPS_STD)
     params = {"degree": degree, "offset": offset, "bandwidth": bandwidth or 1.0}
 
-    gram = kernel_matrix(kernel, rows, rows, **params)
-    row_mean = gram.mean(axis=1)
-    grand_mean = float(gram.mean())
-    centered = gram - row_mean[None, :] - row_mean[:, None] + grand_mean
-    eig = sym_eig((centered + centered.T) / 2.0)
+    # Centred in place: the n x n Gram matrix is the fit's largest array.
+    centered = kernel_matrix(kernel, rows, rows, **params)
+    row_mean = centered.mean(axis=1)
+    grand_mean = float(centered.mean())
+    centered -= row_mean[None, :]
+    centered -= row_mean[:, None]
+    centered += grand_mean
+    eig = sym_eig(centered)
     top = float(eig.eigenvalues[0])
     if top <= 0.0:
         raise ValueError("degenerate kernel matrix: no positive eigenvalues")
@@ -377,32 +356,26 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
                         score_variance, **params)
 
 
-def score_kpca(model: KpcaDetector, x: np.ndarray):
-    """T2 in the retained kernel eigenspace; vector in, scalar out."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    values = x[None, :] if single else x
-    if values.shape[1] != model.scaler.mean.shape[0]:
-        raise ValueError(
-            f"sample has {values.shape[1]} variables, detector expects "
-            f"{model.scaler.mean.shape[0]}"
-        )
-    rows = _standardized(values, model.scaler)
+def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
+    """T2 per sample row in the retained kernel eigenspace."""
+    rows = _standardized(_sample_matrix(values, model), model.scaler)
     cross = kernel_matrix(model.kernel, rows, model.train_rows, degree=model.degree,
                           offset=model.offset, bandwidth=model.bandwidth)
     centered = (cross - cross.mean(axis=1, keepdims=True)
                 - model.row_mean[None, :] + model.grand_mean)
     scores = centered @ model.alphas
-    t2 = np.sum(scores * scores / model.score_variance, axis=1)
-    return float(t2[0]) if single else t2
+    return np.sum(scores * scores / model.score_variance, axis=1)
+
+
+def input_width(detector) -> int:
+    """Number of process variables per sample the detector scores; a
+    dynamic PCA detector is fitted on lags + 1 of them per row."""
+    width = detector.scaler.mean.shape[0]
+    return width // (detector.lags + 1) if isinstance(detector, PcaDetector) else width
 
 
 def feature_count(detector) -> int:
-    if isinstance(detector, PcaDetector):
-        return 2
-    if isinstance(detector, (MdDetector, KpcaDetector)):
-        return 1
-    raise TypeError(f"not a detector: {type(detector).__name__}")
+    return len(feature_names(detector))
 
 
 def feature_names(detector) -> tuple:
@@ -418,11 +391,8 @@ def feature_names(detector) -> tuple:
 
 def detector_features(detector, values: np.ndarray) -> np.ndarray:
     """Feature columns for a whole sequence, one row per input sample."""
-    values = np.asarray(values, dtype=np.float64)
     if isinstance(detector, PcaDetector):
-        t2, q = score_dpca(detector, values) if detector.lags > 0 \
-            else score_pca(detector, values)
-        return np.column_stack([t2, q])
+        return np.column_stack(score_dpca(detector, values))
     if isinstance(detector, MdDetector):
         return score_md(detector, values)[:, None]
     if isinstance(detector, KpcaDetector):
@@ -430,26 +400,26 @@ def detector_features(detector, values: np.ndarray) -> np.ndarray:
     raise TypeError(f"not a detector: {type(detector).__name__}")
 
 
+def fit_bank_member(train: ProcessDataset, member: str,
+                    config: DetectorBankConfig = DetectorBankConfig()):
+    """One bank member (see BANK_MEMBERS) fitted with the config's
+    settings."""
+    if member == "pca":
+        return fit_pca_detector(train, config.pca_variance_fraction)
+    if member == "dpca":
+        return fit_dpca_detector(train, config.dpca_lags, config.pca_variance_fraction)
+    if member in ("md1", "md2", "md3"):
+        return fit_md_detector(train, member.upper(), config.md2_variance_fraction)
+    raise ValueError(f"unknown bank member {member!r}")
+
+
 def fit_detector_bank(train: ProcessDataset,
                       config: DetectorBankConfig = DetectorBankConfig()) -> DetectorBank:
     """Fit the configured members in their fixed order; the default bank
     yields seven features."""
-    fitted = []
-    for member in config.members:
-        if member == "pca":
-            fitted.append(fit_pca_detector(train, config.pca_variance_fraction))
-        elif member == "dpca":
-            fitted.append(fit_dpca_detector(train, config.dpca_lags,
-                                            config.pca_variance_fraction))
-        elif member == "md1":
-            fitted.append(fit_md_detector(train, "MD1"))
-        elif member == "md2":
-            fitted.append(fit_md_detector(train, "MD2",
-                                          config.md2_variance_fraction))
-        else:
-            fitted.append(fit_md_detector(train, "MD3"))
+    fitted = tuple(fit_bank_member(train, member, config) for member in config.members)
     names = tuple(name for det in fitted for name in feature_names(det))
-    return DetectorBank(tuple(fitted), names)
+    return DetectorBank(fitted, names)
 
 
 def detector_control_limit(train_scores: np.ndarray, confidence: float) -> float:

@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .datasets import (
     ProcessDataset,
     SyntheticConfig,
@@ -28,11 +26,10 @@ from .decision import fit_decision
 from .detectors import (
     detector_control_limit,
     detector_features,
+    feature_names,
+    fit_bank_member,
     fit_detector_bank,
-    fit_dpca_detector,
     fit_kpca_detector,
-    fit_md_detector,
-    fit_pca_detector,
 )
 from .pipeline import (
     PipelineConfig,
@@ -41,8 +38,10 @@ from .pipeline import (
     resolve_layer_configs,
     score,
     stages,
+    summarize,
 )
 
+# A base method is a bank feature name or kpca_<kernel>.
 BASE_METHODS = ("pca_t2", "pca_q", "dpca_t2", "dpca_q", "md1", "md2", "md3",
                 "kpca_poly", "kpca_rbf", "kpca_cosine")
 PIPELINE_METHOD = "ae"
@@ -54,26 +53,18 @@ _CSV_COLUMNS = ("scenario", "method", "l_max", "fdr", "far", "excluded_rows",
 
 def fdr(flags, labels) -> float:
     """Flagged fraction of the fault-labeled rows."""
-    flags = np.asarray(flags, dtype=bool)
-    labels = np.asarray(labels)
-    if flags.shape != labels.shape:
-        raise ValueError("flags and labels must have equal length")
-    fault = labels > 0
-    if not fault.any():
+    rate = summarize(flags, labels).fdr
+    if rate is None:
         raise ValueError("no fault samples: detection rate is undefined")
-    return float(flags[fault].mean())
+    return rate
 
 
 def far(flags, labels) -> float:
     """Flagged fraction of the normal-labeled rows."""
-    flags = np.asarray(flags, dtype=bool)
-    labels = np.asarray(labels)
-    if flags.shape != labels.shape:
-        raise ValueError("flags and labels must have equal length")
-    normal = labels == 0
-    if not normal.any():
+    rate = summarize(flags, labels).far
+    if rate is None:
         raise ValueError("no normal samples: false-alarm rate is undefined")
-    return float(flags[normal].mean())
+    return rate
 
 
 @dataclass(frozen=True)
@@ -184,42 +175,22 @@ def resolve_scenario(spec: ScenarioSpec) -> tuple:
     return train, test
 
 
-def _base_scores(method: str, train: ProcessDataset, test: ProcessDataset,
-                 config: PipelineConfig) -> tuple:
-    bank = config.bank
-    if method in ("pca_t2", "pca_q", "dpca_t2", "dpca_q"):
-        if method.startswith("dpca"):
-            detector = fit_dpca_detector(train, bank.dpca_lags,
-                                         bank.pca_variance_fraction)
-        else:
-            detector = fit_pca_detector(train, bank.pca_variance_fraction)
-        column = 0 if method.endswith("_t2") else 1
-    elif method in ("md1", "md2", "md3"):
-        detector = fit_md_detector(train, method.upper(),
-                                   bank.md2_variance_fraction)
-        column = 0
-    else:
-        kernel = method.split("_", 1)[1]
-        detector = fit_kpca_detector(train, kernel)
-        column = 0
-    return (detector_features(detector, train.values)[:, column],
-            detector_features(detector, test.values)[:, column])
-
-
-def _rates(flags: np.ndarray, labels: np.ndarray) -> tuple:
-    fault = labels > 0
-    cell_fdr = fdr(flags, labels) if fault.any() else None
-    cell_far = far(flags, labels) if (~fault).any() else None
-    return cell_fdr, cell_far
-
-
 def _base_cell(spec: ScenarioSpec, method: str, train: ProcessDataset,
                test: ProcessDataset, config: PipelineConfig) -> ReportCell:
-    train_scores, test_scores = _base_scores(method, train, test, config)
+    if method.startswith("kpca_"):
+        detector, column = fit_kpca_detector(train, method[len("kpca_"):]), 0
+    else:
+        detector = fit_bank_member(train, method.split("_")[0], config.bank)
+        names = feature_names(detector)
+        if method not in names:
+            raise ValueError(f"{method} needs dpca_lags > 0; at lag 0 the member "
+                             f"is plain PCA with features {names}")
+        column = names.index(method)
+    train_scores = detector_features(detector, train.values)[:, column]
+    test_scores = detector_features(detector, test.values)[:, column]
     limit = detector_control_limit(train_scores, config.confidence)
-    flags = test_scores > limit
-    cell_fdr, cell_far = _rates(flags, test.labels)
-    return ReportCell(spec.name, method, None, cell_fdr, cell_far, 0, spec.seed)
+    summary = summarize(test_scores > limit, test.labels)
+    return ReportCell(spec.name, method, None, summary.fdr, summary.far, 0, spec.seed)
 
 
 def _error_cells(spec: ScenarioSpec, methods, depths, message: str) -> list:

@@ -13,6 +13,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .detectors import (
     MdDetector,
     PcaDetector,
     fit_detector_bank,
+    input_width,
 )
 from .ensemble import FeatureMatrix, build_feature_matrix
 from .transform import (
@@ -54,7 +56,7 @@ class PipelineConfig:
     bank: DetectorBankConfig = DetectorBankConfig()
     l_max: int = 2
     layer_template: LayerConfig = DEFAULT_LAYER_TEMPLATE
-    layers: tuple = ()
+    layers: tuple[LayerConfig, ...] = ()
     confidence: float = 0.99
     norm_order: int = 1
     master_seed: int = 0
@@ -108,7 +110,7 @@ class DetectionResult:
 @dataclass(frozen=True)
 class FenetModel:
     bank: DetectorBank
-    layers: tuple
+    layers: tuple[TransformLayer, ...]
     decision: DecisionModel
     config: PipelineConfig
     format_version: int = FORMAT_VERSION
@@ -144,7 +146,7 @@ def stages(bank: DetectorBank, steps, train: ProcessDataset | None = None,
     once. A side given as None yields None.
     """
     if test is not None:
-        expected = _bank_input_width(bank)
+        expected = input_width(bank.detectors[0])
         if test.n_variables != expected:
             raise ValueError(
                 f"test data has {test.n_variables} variables, model expects {expected}"
@@ -166,20 +168,31 @@ def stages(bank: DetectorBank, steps, train: ProcessDataset | None = None,
         yield layers, train_features, test_features
 
 
+def summarize(flags, labels) -> DetectionSummary:
+    """Rates of alarm flags against row labels: 0 marks a normal row and a
+    positive value a fault row."""
+    flags = np.asarray(flags, dtype=bool)
+    labels = np.asarray(labels)
+    if flags.shape != labels.shape:
+        raise ValueError("flags and labels must have equal length")
+    if np.any(labels < 0):
+        raise ValueError("labels must be non-negative")
+    fault = labels > 0
+    normal = ~fault
+    return DetectionSummary(float(flags[fault].mean()) if fault.any() else None,
+                            float(flags[normal].mean()) if normal.any() else None,
+                            int(fault.sum()), int(normal.sum()))
+
+
 def score(decision: DecisionModel, features: FeatureMatrix,
           test: ProcessDataset) -> DetectionResult:
     """Flag each row of a test stage against the decision and summarize
     the rates; rows before the stage's sample_offset are not scored."""
-    index_values = np.atleast_1d(detection_index(decision, features.values))
+    index_values = detection_index(decision, features.values)
     flags = alarms(decision, index_values)
     valid_from = features.sample_offset
-    fault = test.labels[valid_from:] > 0
-    normal = ~fault
-    fdr = float(flags[fault].mean()) if fault.any() else None
-    far = float(flags[normal].mean()) if normal.any() else None
-    summary = DetectionSummary(fdr, far, int(fault.sum()), int(normal.sum()))
     return DetectionResult(index_values, decision.limit, flags, valid_from,
-                           summary)
+                           summarize(flags, test.labels[valid_from:]))
 
 
 def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> FenetModel:
@@ -206,14 +219,6 @@ def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> Fen
     decision = fit_decision(features.values, config.confidence, config.norm_order)
     return FenetModel(bank, layers, decision,
                       replace(config, layers=tuple(layer_configs)))
-
-
-def _bank_input_width(bank: DetectorBank) -> int:
-    first = bank.detectors[0]
-    width = first.scaler.mean.shape[0]
-    if isinstance(first, PcaDetector) and first.lags > 0:
-        return width // (first.lags + 1)
-    return width
 
 
 def detect(model: FenetModel, test: ProcessDataset) -> DetectionResult:
@@ -266,10 +271,22 @@ def _decode_array(node: dict, blob: bytes) -> np.ndarray:
                          offset=offset).reshape(shape).copy()
 
 
+def _fits(value, annotation) -> bool:
+    """Whether a decoded value has a field's declared type.  Any JSON
+    number fits an int or float field: a field set to 1 or 5.0 in code
+    (beta=1, master_seed=5.0) is saved as written and must load."""
+    if annotation in (int, float):
+        return isinstance(value, (int, float))
+    if get_origin(annotation) is tuple:
+        return isinstance(value, tuple) and all(
+            _fits(item, get_args(annotation)[0]) for item in value)
+    return isinstance(value, annotation)
+
+
 def _decode(node, blob: bytes):
     """Inverse of `encode` for the types a model file can hold; any other
-    type name, an unknown field or a bad array reference raises
-    ValueError."""
+    type name, an unknown field, a value of the wrong type or a bad array
+    reference raises ValueError."""
     if isinstance(node, list):
         return tuple(_decode(item, blob) for item in node)
     if not isinstance(node, dict):
@@ -285,6 +302,10 @@ def _decode(node, blob: bytes):
         raise ValueError(f"unknown field {min(unknown)!r} in {kind}")
     values = {key: _decode(value, blob) for key, value in node.items()
               if key != "type"}
+    for f in fields(cls):
+        if f.name in values and not _fits(values[f.name], f.type):
+            raise ValueError(f"field {f.name!r} of {kind} holds "
+                             f"{type(values[f.name]).__name__}")
     try:
         return cls(**values)
     except (TypeError, AttributeError) as error:

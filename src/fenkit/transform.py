@@ -56,7 +56,7 @@ class LayerConfig:
     code_dim: int = 20
     ae_variant: Variant = Variant("plain")
     training: TrainConfig = TrainConfig(epochs=2000)
-    hidden_dims: tuple = DEFAULT_HIDDEN_DIMS
+    hidden_dims: tuple[int, ...] = DEFAULT_HIDDEN_DIMS
     seed: int = 0
 
     def __post_init__(self):
@@ -106,7 +106,7 @@ class TransformLayer:
 
     config: LayerConfig
     input_features: int
-    subsets: tuple
+    subsets: tuple[tuple[int, ...], ...]
     reduction: PcaReduction
     score_scale: np.ndarray
     autoencoder: Autoencoder

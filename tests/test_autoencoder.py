@@ -104,14 +104,14 @@ class TestInit:
 class TestForward:
     def test_zero_net_maps_to_zero(self):
         ae = zero_net(PLAIN)
-        code, recon = forward(ae, np.array([1.0, -2.0, 3.0]))
+        code, recon = forward(ae, np.array([[1.0, -2.0, 3.0]]))
         np.testing.assert_array_equal(code, 0.0)
         np.testing.assert_array_equal(recon, 0.0)
 
     def test_identity_single_layer(self):
         eye = Layer(np.eye(3), np.zeros(3), "linear")
         ae = Autoencoder((eye,), (eye,), PLAIN, 3)
-        x = np.array([0.5, -1.5, 2.0])
+        x = np.array([[0.5, -1.5, 2.0]])
         code, recon = forward(ae, x)
         np.testing.assert_array_equal(code, x)
         np.testing.assert_array_equal(recon, x)
@@ -120,7 +120,7 @@ class TestForward:
         """Oracle: re-evaluate the net with explicit numpy expressions."""
         rng = np.random.default_rng(3)
         ae = small_net(PLAIN, seed=5)
-        x = rng.standard_normal(6)
+        x = rng.standard_normal((1, 6))
         a = x
         for layer in ae.encoder_layers:
             z = a @ layer.weights + layer.bias
@@ -135,10 +135,10 @@ class TestForward:
 
     def test_variational_inference_code_is_mean(self):
         ae = small_net(VAE, seed=2)
-        x = np.random.default_rng(0).standard_normal(6)
+        x = np.random.default_rng(0).standard_normal((1, 6))
         code_a, _ = forward(ae, x)
         code_b, _ = forward(ae, x)
-        assert code_a.shape == (2,)
+        assert code_a.shape == (1, 2)
         np.testing.assert_array_equal(code_a, code_b)
 
     def test_batch_rows_match_single(self):
@@ -146,20 +146,20 @@ class TestForward:
         batch = np.random.default_rng(1).standard_normal((4, 6))
         codes, recons = forward(ae, batch)
         for i in range(4):
-            code, recon = forward(ae, batch[i])
+            (code,), (recon,) = forward(ae, batch[i:i + 1])
             np.testing.assert_allclose(codes[i], code, rtol=1e-12, atol=1e-15)
             np.testing.assert_allclose(recons[i], recon, rtol=1e-12, atol=1e-15)
 
     def test_dimension_mismatch(self):
         ae = small_net(PLAIN)
         with pytest.raises(ValueError, match="columns"):
-            forward(ae, np.zeros(5))
+            forward(ae, np.zeros((1, 5)))
 
     def test_non_finite_intermediate(self):
         big = Layer(np.full((1, 1), 1e200), np.zeros(1), "linear")
         ae = Autoencoder((big,), (big,), PLAIN, 1)
         with pytest.raises(ValueError, match="non-finite"):
-            forward(ae, np.array([1e200]))
+            forward(ae, np.array([[1e200]]))
 
 
 class TestLoss:

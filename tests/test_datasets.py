@@ -35,6 +35,11 @@ class TestProcessDataset:
         with pytest.raises(ValueError):
             ProcessDataset(np.zeros((3, 2)), np.zeros(2, dtype=np.int64))
 
+    def test_rejects_negative_labels(self):
+        """Labels have two classes: 0 normal, positive a fault id."""
+        with pytest.raises(ValueError, match="non-negative"):
+            ProcessDataset(np.zeros((3, 2)), np.array([0, -1, 1]))
+
     def test_values_frozen(self):
         ds = _dataset([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):

@@ -55,11 +55,11 @@ class TestFitDecision:
 class TestDetectionIndex:
     def test_mean_code_scores_zero(self):
         model = fit_decision(gaussian_codes(3))
-        assert detection_index(model, model.mean) == 0.0
+        assert detection_index(model, model.mean[None, :])[0] == 0.0
 
     def test_one_std_step_scores_code_dim(self):
         model = fit_decision(gaussian_codes(4))
-        d = detection_index(model, model.mean + model.std)
+        (d,) = detection_index(model, (model.mean + model.std)[None, :])
         assert d == pytest.approx(model.code_dim, rel=1e-12)
 
     def test_matches_elementwise_oracle(self):
@@ -69,7 +69,7 @@ class TestDetectionIndex:
             code = rng.standard_normal(6) * 3
             expected = sum(abs((code[j] - model.mean[j]) / model.std[j])
                            for j in range(6))
-            np.testing.assert_allclose(detection_index(model, code), expected,
+            np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
                                        rtol=1e-12)
 
     def test_two_norm_option(self):
@@ -77,7 +77,8 @@ class TestDetectionIndex:
         model = fit_decision(codes, norm_order=2)
         code = codes[0]
         expected = np.linalg.norm((code - model.mean) / model.std)
-        np.testing.assert_allclose(detection_index(model, code), expected, rtol=1e-12)
+        np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
+                                   rtol=1e-12)
 
     def test_translation_covariance(self):
         """Shifting codes and mean together leaves every index fixed."""
@@ -93,29 +94,29 @@ class TestDetectionIndex:
     def test_enlarging_one_deviation_increases_index(self):
         model = fit_decision(gaussian_codes(10))
         code = model.mean + model.std * 0.5
-        base = detection_index(model, code)
+        (base,) = detection_index(model, code[None, :])
         bumped = code.copy()
         bumped[2] += model.std[2]
-        assert detection_index(model, bumped) > base
+        assert detection_index(model, bumped[None, :])[0] > base
 
     def test_zero_iff_mean(self):
         model = fit_decision(gaussian_codes(11))
-        assert detection_index(model, model.mean) == 0.0
+        assert detection_index(model, model.mean[None, :])[0] == 0.0
         off = model.mean.copy()
         off[0] += 1e-9
-        assert detection_index(model, off) > 0.0
+        assert detection_index(model, off[None, :])[0] > 0.0
 
     def test_matrix_input(self):
         model = fit_decision(gaussian_codes(12))
         codes = gaussian_codes(13, n=15)
         d = detection_index(model, codes)
         assert d.shape == (15,)
-        np.testing.assert_allclose(d[3], detection_index(model, codes[3]), rtol=1e-12)
+        np.testing.assert_allclose(d[3], detection_index(model, codes[3:4])[0], rtol=1e-12)
 
     def test_dimension_mismatch(self):
         model = fit_decision(gaussian_codes(14))
         with pytest.raises(ValueError):
-            detection_index(model, np.zeros(5))
+            detection_index(model, np.zeros((1, 5)))
 
 
 class TestAlarms:

@@ -87,7 +87,7 @@ class TestFitPca:
 class TestScorePca:
     def test_training_mean_scores_zero(self):
         model = fit_pca_detector(correlated_data(5))
-        t2, q = score_pca(model, model.scaler.mean)
+        (t2,), (q,) = score_pca(model, model.scaler.mean[None, :])
         assert t2 == pytest.approx(0.0, abs=1e-20)
         assert q == pytest.approx(0.0, abs=1e-20)
 
@@ -96,7 +96,7 @@ class TestScorePca:
         v1 = model.projection[:, 0]
         lam1 = model.retained_eigenvalues[0]
         x = model.scaler.mean + v1 * np.sqrt(lam1) * model.scaler.std
-        t2, q = score_pca(model, x)
+        (t2,), (q,) = score_pca(model, x[None, :])
         assert t2 == pytest.approx(1.0, rel=1e-10)
         assert q == pytest.approx(0.0, abs=1e-16)
 
@@ -109,7 +109,7 @@ class TestScorePca:
             p, lam = model.projection, model.retained_eigenvalues
             expected_t2 = x_std @ p @ np.diag(1.0 / lam) @ p.T @ x_std
             expected_q = np.sum((x_std - p @ (p.T @ x_std)) ** 2)
-            t2, q = score_pca(model, x)
+            (t2,), (q,) = score_pca(model, x[None, :])
             np.testing.assert_allclose(t2, expected_t2, rtol=1e-8)
             np.testing.assert_allclose(q, expected_q, rtol=1e-8, atol=1e-12)
 
@@ -118,7 +118,7 @@ class TestScorePca:
         batch = np.random.default_rng(10).standard_normal((6, 5))
         t2s, qs = score_pca(model, batch)
         for i in range(6):
-            t2, q = score_pca(model, batch[i])
+            (t2,), (q,) = score_pca(model, batch[i:i + 1])
             np.testing.assert_allclose(t2s[i], t2, rtol=1e-12)
             np.testing.assert_allclose(qs[i], q, rtol=1e-12)
 
@@ -131,7 +131,7 @@ class TestScorePca:
     def test_dimension_mismatch(self):
         model = fit_pca_detector(correlated_data(13))
         with pytest.raises(ValueError, match="variables"):
-            score_pca(model, np.zeros(4))
+            score_pca(model, np.zeros((1, 4)))
 
 
 class TestDpca:
@@ -190,9 +190,13 @@ class TestMd:
         for variant in ("MD1", "MD2", "MD3"):
             model = fit_md_detector(data, variant)
             if variant == "MD3":
-                d = score_md(model, np.concatenate([model.mean]))
+                # two rows whose standardized lag-1 augmentation is the
+                # training mean of the augmented space
+                m = model.scaler.mean.shape[0]
+                lagged = np.stack([model.mean[m:], model.mean[:m]])
+                d = score_md(model, model.scaler.mean + model.scaler.std * lagged)[-1]
             else:
-                d = score_md(model, model.scaler.mean)
+                (d,) = score_md(model, model.scaler.mean[None, :])
             assert d == pytest.approx(0.0, abs=1e-12)
 
     def test_identity_covariance_unit_step(self):
@@ -203,7 +207,7 @@ class TestMd:
         model = MdDetector("MD1", np.zeros(3), ridge_inverse, scaler)
         previous = -1.0
         for c in (0.5, 1.0, 2.0, 7.5):
-            d = score_md(model, np.array([c, 0.0, 0.0]))
+            (d,) = score_md(model, np.array([[c, 0.0, 0.0]]))
             assert d == pytest.approx(c, rel=1e-5)
             assert d > previous
             previous = d
@@ -219,7 +223,7 @@ class TestMd:
                 z = z @ model.projection
             diff = z - model.mean
             expected = np.sqrt(diff @ model.inverse_covariance @ diff)
-            np.testing.assert_allclose(score_md(model, x), expected, rtol=1e-8)
+            np.testing.assert_allclose(score_md(model, x[None, :]), expected, rtol=1e-8)
 
     def test_md3_sequence_alignment(self):
         data = correlated_data(23, n=60)
@@ -235,7 +239,9 @@ class TestMd:
         z = np.random.default_rng(25).standard_normal(10)
         diff = z - model.mean
         expected = np.sqrt(diff @ model.inverse_covariance @ diff)
-        np.testing.assert_allclose(score_md(model, z), expected, rtol=1e-8)
+        # the two rows whose standardized lag-1 augmentation is z
+        rows = model.scaler.mean + model.scaler.std * np.stack([z[5:], z[:5]])
+        np.testing.assert_allclose(score_md(model, rows)[-1], expected, rtol=1e-8)
 
     def test_md2_uses_reduced_space(self):
         rng = np.random.default_rng(26)
@@ -258,7 +264,7 @@ class TestMd:
     def test_dimension_mismatch(self):
         model = fit_md_detector(correlated_data(29), "MD1")
         with pytest.raises(ValueError):
-            score_md(model, np.zeros(4))
+            score_md(model, np.zeros((1, 4)))
 
 
 class TestKpca:

@@ -10,7 +10,16 @@ import pytest
 from fenkit import pipeline
 from fenkit.autoencoder import TrainConfig
 from fenkit.datasets import SyntheticConfig, generate_synthetic, write_csv
+from fenkit.detectors import (
+    DetectorBankConfig,
+    detector_features,
+    fit_dpca_detector,
+    fit_kpca_detector,
+    fit_md_detector,
+    fit_pca_detector,
+)
 from fenkit.evaluation import (
+    BASE_METHODS,
     ExperimentGrid,
     ReportCell,
     ScenarioSpec,
@@ -23,6 +32,7 @@ from fenkit.evaluation import (
     run_experiment,
     write_report,
 )
+from fenkit.numerics import empirical_quantile
 from fenkit.pipeline import PipelineConfig, detect, fit
 from fenkit.transform import LayerConfig
 
@@ -98,6 +108,12 @@ class TestRates:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             fdr(np.zeros(3, dtype=bool), np.ones(4))
+
+    def test_negative_labels_rejected(self):
+        labels = np.array([0, -1, 1])
+        for rate in (fdr, far):
+            with pytest.raises(ValueError, match="non-negative"):
+                rate(np.zeros(3, dtype=bool), labels)
 
 
 class TestScenarios:
@@ -205,6 +221,51 @@ class TestRunExperiment:
                         and c.l_max == depth)
             assert cell.fdr == direct.summary.fdr
             assert cell.far == direct.summary.far
+
+    def test_base_cells_match_direct_computation(self):
+        """Each base cell reports the rates of a direct fit, feature
+        column, empirical control limit and row count."""
+        sticking = ScenarioSpec("sticking", synthetic=SyntheticConfig(
+            n_variables=6, n_train=160, n_test=140, fault_type="sticking",
+            fault_amplitude=4.0, fault_channels=(1, 4), fault_onset=60, seed=23))
+        grid = ExperimentGrid(scenarios=(step_scenario(), sticking),
+                              methods=BASE_METHODS, depths=(0,), pipeline=PIPELINE)
+        cells = {(c.scenario, c.method): c for c in run_experiment(grid).cells}
+        bank = PIPELINE.bank
+        for spec in grid.scenarios:
+            train, test = resolve_scenario(spec)
+            columns = {}
+            for prefix, detector in (
+                    ("pca", fit_pca_detector(train, bank.pca_variance_fraction)),
+                    ("dpca", fit_dpca_detector(train, bank.dpca_lags,
+                                               bank.pca_variance_fraction))):
+                columns[f"{prefix}_t2"] = (detector, 0)
+                columns[f"{prefix}_q"] = (detector, 1)
+            for variant in ("MD1", "MD2", "MD3"):
+                columns[variant.lower()] = (
+                    fit_md_detector(train, variant, bank.md2_variance_fraction), 0)
+            for kernel in ("poly", "rbf", "cosine"):
+                columns[f"kpca_{kernel}"] = (fit_kpca_detector(train, kernel), 0)
+            assert set(columns) == set(BASE_METHODS)
+            for method, (detector, column) in columns.items():
+                train_scores = detector_features(detector, train.values)[:, column]
+                test_scores = detector_features(detector, test.values)[:, column]
+                limit = empirical_quantile(train_scores, PIPELINE.confidence)
+                flags = test_scores > limit
+                cell = cells[(spec.name, method)]
+                assert cell.error is None
+                assert cell.fdr == flags[test.labels > 0].mean()
+                assert cell.far == flags[test.labels == 0].mean()
+
+    def test_dpca_method_needs_lags(self):
+        """At dpca_lags=0 the dpca member is plain PCA, whose features the
+        bank names pca_t2/pca_q; the dpca cells say so."""
+        grid = ExperimentGrid(
+            scenarios=(step_scenario(),), methods=("dpca_t2", "pca_t2"), depths=(0,),
+            pipeline=PipelineConfig(bank=DetectorBankConfig(dpca_lags=0), l_max=0))
+        dpca, pca = run_experiment(grid).cells
+        assert "dpca_lags > 0" in dpca.error
+        assert pca.error is None
 
     def test_each_test_stage_scored_once(self, monkeypatch):
         """Depths 0-2 apply each fitted layer to the test record once:

@@ -2,7 +2,9 @@
 container, and the sectioned config file."""
 
 import hashlib
+import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from fenkit.pipeline import (
     DetectionSummary,
     PipelineConfig,
     detect,
+    encode,
     fit,
     load,
     read_pipeline_config,
@@ -231,6 +234,25 @@ class TestDetect:
         np.testing.assert_array_equal(first.flags, second.flags)
 
 
+def model_header(bank='{"type": "DetectorBank", "detectors": [], "feature_names": []}',
+                 layers="[]", config='{"type": "PipelineConfig"}') -> str:
+    """Header of a FenetModel with an empty bank and decision, so it
+    needs no data block."""
+    empty = '{"type": "ndarray", "shape": [0], "offset": 0}'
+    decision = ('{"type": "DecisionModel", "mean": %s, "std": %s, "norm_order": 1, '
+                '"limit": 0.0, "confidence": 0.99}' % (empty, empty))
+    return ('{"type": "FenetModel", "bank": %s, "layers": %s, "decision": %s, '
+            '"config": %s}' % (bank, layers, decision, config))
+
+
+def write_header(path, header: str, extra_length: int = 0) -> None:
+    """Checksum-valid model file holding the header and no data block."""
+    header_bytes = header.encode("utf-8")
+    body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes) + extra_length)
+            + header_bytes)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
 class TestModelFile:
     def test_round_trip_detection_is_bit_identical(self, fitted, data_pair,
                                                    tmp_path):
@@ -334,6 +356,10 @@ class TestModelFile:
             load(path)
 
     @pytest.mark.parametrize("header, extra_length, message", [
+        pytest.param(model_header(bank="5"), 0, "'bank' of FenetModel holds int",
+                     id="bank-not-a-bank"),
+        pytest.param(model_header(layers="[5]"), 0,
+                     "'layers' of FenetModel holds tuple", id="layer-not-a-layer"),
         pytest.param("{}", 0, "unknown type None", id="empty-object"),
         pytest.param('{"bank": {}}', 0, "unknown type None", id="untyped"),
         pytest.param("[]", 0, "does not describe a model", id="list"),
@@ -356,14 +382,23 @@ class TestModelFile:
                                        message):
         """Checksum-valid files whose header is malformed fail with a
         named ValueError, never a KeyError or TypeError."""
-        header_bytes = header.encode("utf-8")
-        body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION,
-                                    len(header_bytes) + extra_length)
-                + header_bytes)
         path = tmp_path / "model.fenet"
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        write_header(path, header, extra_length)
         with pytest.raises(ValueError, match=message):
             load(path)
+
+    def test_numbers_load_into_int_and_float_fields(self, tmp_path):
+        """Variant("sparse", beta=1) is saved with the JSON integer 1 and
+        master_seed=5.0 with the JSON float 5.0; both load back equal."""
+        variant = Variant("sparse", beta=1)
+        template = replace(DEFAULT_LAYER_TEMPLATE, ae_variant=variant)
+        path = tmp_path / "model.fenet"
+        write_header(path, model_header(
+            config='{"type": "PipelineConfig", "master_seed": 5.0, "layer_template": %s}'
+            % json.dumps(encode(template))))
+        config = load(path).config
+        assert config.layer_template.ae_variant == variant
+        assert config.master_seed == 5
 
 
 class TestConfigFile:
