@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import freeze_arrays
+
 ACTIVATIONS = ("linear", "relu", "sigmoid")
 VARIANT_KINDS = ("plain", "sparse", "variational")
 
@@ -49,10 +51,7 @@ class Layer:
             raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
             raise ValueError("layer parameters must be finite")
-        weights.setflags(write=False)
-        bias.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "bias", bias)
+        freeze_arrays(self, weights=weights, bias=bias)
 
 
 @dataclass(frozen=True)

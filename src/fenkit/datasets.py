@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_STD
+from .numerics import EPS_STD, freeze_arrays
 
 FAULT_TYPES = ("step", "random_variation", "slow_drift", "sticking", "none")
 
@@ -47,10 +47,7 @@ class ProcessDataset:
                 "labels must be non-negative: 0 is normal, a positive value a fault id")
         if self.sample_interval_minutes <= 0:
             raise ValueError("sample_interval_minutes must be positive")
-        values.setflags(write=False)
-        labels.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
+        freeze_arrays(self, values=values, labels=labels)
 
     @property
     def n_samples(self) -> int:
@@ -92,10 +89,7 @@ class ScalerStats:
             raise ValueError("mean/std must be matching 1-d vectors")
         if np.any(std < EPS_STD):
             raise ValueError(f"std entries must be >= {EPS_STD}")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        freeze_arrays(self, mean=mean, std=std)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_STD, empirical_quantile
+from .numerics import EPS_STD, empirical_quantile, freeze_arrays
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,7 @@ class DecisionModel:
             raise ValueError("limit must be non-negative")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        freeze_arrays(self, mean=mean, std=std)
 
     @property
     def code_dim(self) -> int:

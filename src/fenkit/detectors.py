@@ -17,6 +17,7 @@ from .numerics import (
     EPS_STD,
     covariance,
     empirical_quantile,
+    freeze_arrays,
     retained_count,
     sym_eig,
 )
@@ -53,10 +54,7 @@ class PcaDetector:
             raise ValueError("eigenvalues must be positive and descending")
         if self.lags < 0:
             raise ValueError("lags must be non-negative")
-        projection.setflags(write=False)
-        eigenvalues.setflags(write=False)
-        object.__setattr__(self, "projection", projection)
-        object.__setattr__(self, "retained_eigenvalues", eigenvalues)
+        freeze_arrays(self, projection=projection, retained_eigenvalues=eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -82,13 +80,8 @@ class MdDetector:
         if self.variant == "MD2":
             if self.projection is None:
                 raise ValueError("MD2 needs a score-space projection")
-            projection = np.array(self.projection, dtype=np.float64)
-            projection.setflags(write=False)
-            object.__setattr__(self, "projection", projection)
-        mean.setflags(write=False)
-        inverse.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "inverse_covariance", inverse)
+            freeze_arrays(self, projection=np.array(self.projection, dtype=np.float64))
+        freeze_arrays(self, mean=mean, inverse_covariance=inverse)
 
 
 @dataclass(frozen=True)
@@ -110,10 +103,9 @@ class KpcaDetector:
     def __post_init__(self):
         if self.kernel not in KPCA_KERNELS:
             raise ValueError(f"kernel must be one of {KPCA_KERNELS}, got {self.kernel!r}")
-        for field_name in ("train_rows", "alphas", "row_mean", "score_variance"):
-            arr = np.array(getattr(self, field_name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, field_name, arr)
+        freeze_arrays(self, **{name: np.array(getattr(self, name), dtype=np.float64)
+                               for name in ("train_rows", "alphas", "row_mean",
+                                            "score_variance")})
 
 
 @dataclass(frozen=True)
@@ -149,7 +141,7 @@ class DetectorBank:
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        total = sum(feature_count(det) for det in self.detectors)
+        total = sum(len(feature_names(det)) for det in self.detectors)
         if total != len(self.feature_names):
             raise ValueError(
                 f"{total} detector features but {len(self.feature_names)} names"
@@ -180,7 +172,7 @@ def _principal_subspace(standardized: np.ndarray, variance_fraction: float):
 def _augment_lags(values: np.ndarray, lags: int) -> np.ndarray:
     """Rows [x_t, x_{t-1}, ..., x_{t-lags}] for t = lags..n-1."""
     n = values.shape[0]
-    if n < lags + 1:
+    if lags and n < lags + 1:
         raise ValueError(f"sequence of {n} rows is shorter than lags+1 = {lags + 1}")
     return np.column_stack([values[lags - k: n - k] for k in range(lags + 1)])
 
@@ -214,7 +206,7 @@ def _sample_matrix(values, detector) -> np.ndarray:
 def _pad_head(scores: np.ndarray, lags: int) -> np.ndarray:
     """The first `lags` samples reuse the earliest complete lag window, so
     output length equals input length."""
-    return np.concatenate([np.full(lags, scores[0]), scores])
+    return np.concatenate([np.repeat(scores[:1], lags), scores])
 
 
 def fit_pca_detector(train: ProcessDataset, variance_fraction: float = 0.9) -> PcaDetector:
@@ -334,14 +326,15 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         bandwidth = max(median_pairwise_distance(rows), EPS_STD)
     params = {"degree": degree, "offset": offset, "bandwidth": bandwidth or 1.0}
 
-    # Centred in place: the n x n Gram matrix is the fit's largest array.
+    # Centred in place, as the Gram matrix is the fit's largest array; the
+    # steps round (i, j) and (j, i) apart, so symmetrise for sym_eig.
     centered = kernel_matrix(kernel, rows, rows, **params)
     row_mean = centered.mean(axis=1)
     grand_mean = float(centered.mean())
     centered -= row_mean[None, :]
     centered -= row_mean[:, None]
     centered += grand_mean
-    eig = sym_eig(centered)
+    eig = sym_eig((centered + centered.T) / 2.0)
     top = float(eig.eigenvalues[0])
     if top <= 0.0:
         raise ValueError("degenerate kernel matrix: no positive eigenvalues")
@@ -372,10 +365,6 @@ def input_width(detector) -> int:
     dynamic PCA detector is fitted on lags + 1 of them per row."""
     width = detector.scaler.mean.shape[0]
     return width // (detector.lags + 1) if isinstance(detector, PcaDetector) else width
-
-
-def feature_count(detector) -> int:
-    return len(feature_names(detector))
 
 
 def feature_names(detector) -> tuple:

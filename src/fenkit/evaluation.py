@@ -26,7 +26,6 @@ from .decision import fit_decision
 from .detectors import (
     detector_control_limit,
     detector_features,
-    feature_names,
     fit_bank_member,
     fit_detector_bank,
     fit_kpca_detector,
@@ -178,14 +177,12 @@ def resolve_scenario(spec: ScenarioSpec) -> tuple:
 def _base_cell(spec: ScenarioSpec, method: str, train: ProcessDataset,
                test: ProcessDataset, config: PipelineConfig) -> ReportCell:
     if method.startswith("kpca_"):
-        detector, column = fit_kpca_detector(train, method[len("kpca_"):]), 0
+        detector = fit_kpca_detector(train, method[len("kpca_"):])
     else:
         detector = fit_bank_member(train, method.split("_")[0], config.bank)
-        names = feature_names(detector)
-        if method not in names:
-            raise ValueError(f"{method} needs dpca_lags > 0; at lag 0 the member "
-                             f"is plain PCA with features {names}")
-        column = names.index(method)
+    # T2 is a PCA detector's first column and Q its second; every other
+    # detector has one column.
+    column = int(method.endswith("_q"))
     train_scores = detector_features(detector, train.values)[:, column]
     test_scores = detector_features(detector, test.values)[:, column]
     limit = detector_control_limit(train_scores, config.confidence)

@@ -19,6 +19,13 @@ SYMMETRY_TOL = 1e-9
 _EIG_FLOOR = 1e-12
 
 
+def freeze_arrays(instance, **arrays) -> None:
+    """Make each array read-only and store it on a frozen dataclass."""
+    for name, array in arrays.items():
+        array.setflags(write=False)
+        object.__setattr__(instance, name, array)
+
+
 @dataclass(frozen=True)
 class SymmetricEig:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
@@ -61,7 +68,9 @@ def sym_eig(matrix: np.ndarray) -> SymmetricEig:
     asym = np.max(np.abs(matrix - matrix.T)) if matrix.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    eigenvalues, eigenvectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    if asym:  # an exactly symmetric input is used as is, without an n x n copy
+        matrix = (matrix + matrix.T) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     order = np.argsort(eigenvalues)[::-1]
     return SymmetricEig(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors[:, order])
 

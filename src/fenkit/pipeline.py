@@ -30,6 +30,7 @@ from .detectors import (
     input_width,
 )
 from .ensemble import FeatureMatrix, build_feature_matrix
+from .numerics import freeze_arrays
 from .transform import (
     LayerConfig,
     PcaReduction,
@@ -101,10 +102,7 @@ class DetectionResult:
         flags = np.array(self.flags, dtype=bool)
         if flags.shape != index_values.shape:
             raise ValueError("flags and index_values must have equal length")
-        index_values.setflags(write=False)
-        flags.setflags(write=False)
-        object.__setattr__(self, "index_values", index_values)
-        object.__setattr__(self, "flags", flags)
+        freeze_arrays(self, index_values=index_values, flags=flags)
 
 
 @dataclass(frozen=True)
@@ -271,16 +269,23 @@ def _decode_array(node: dict, blob: bytes) -> np.ndarray:
                          offset=offset).reshape(shape).copy()
 
 
-def _fits(value, annotation) -> bool:
-    """Whether a decoded value has a field's declared type.  Any JSON
-    number fits an int or float field: a field set to 1 or 5.0 in code
-    (beta=1, master_seed=5.0) is saved as written and must load."""
+def _typed(value, annotation):
+    """A decoded value as its field's declared type; TypeError if it does
+    not fit.  A field set to 1 or 5.0 in code (beta=1, master_seed=5.0) is
+    saved as written, so a float field takes any JSON number and an int
+    field an integral one, loaded as int; a boolean fits neither."""
     if annotation in (int, float):
-        return isinstance(value, (int, float))
-    if get_origin(annotation) is tuple:
-        return isinstance(value, tuple) and all(
-            _fits(item, get_args(annotation)[0]) for item in value)
-    return isinstance(value, annotation)
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if annotation is float:
+                return value
+            if float(value).is_integer():
+                return int(value)
+    elif get_origin(annotation) is tuple:
+        if isinstance(value, tuple):
+            return tuple(_typed(item, get_args(annotation)[0]) for item in value)
+    elif isinstance(value, annotation):
+        return value
+    raise TypeError(type(value).__name__)
 
 
 def _decode(node, blob: bytes):
@@ -303,9 +308,12 @@ def _decode(node, blob: bytes):
     values = {key: _decode(value, blob) for key, value in node.items()
               if key != "type"}
     for f in fields(cls):
-        if f.name in values and not _fits(values[f.name], f.type):
-            raise ValueError(f"field {f.name!r} of {kind} holds "
-                             f"{type(values[f.name]).__name__}")
+        if f.name in values:
+            try:
+                values[f.name] = _typed(values[f.name], f.type)
+            except TypeError:
+                raise ValueError(f"field {f.name!r} of {kind} holds "
+                                 f"{type(values[f.name]).__name__}") from None
     try:
         return cls(**values)
     except (TypeError, AttributeError) as error:

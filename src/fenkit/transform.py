@@ -29,6 +29,7 @@ from .ensemble import FeatureMatrix
 from .numerics import (
     EPS_STD,
     covariance,
+    freeze_arrays,
     retained_count,
     singular_values,
     sym_eig,
@@ -92,10 +93,7 @@ class PcaReduction:
         gram = projection.T @ projection
         if np.max(np.abs(gram - np.eye(projection.shape[1]))) > 1e-8:
             raise ValueError("projection columns must be orthonormal within 1e-8")
-        mean.setflags(write=False)
-        projection.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "projection", projection)
+        freeze_arrays(self, mean=mean, projection=projection)
 
 
 @dataclass(frozen=True)
@@ -113,9 +111,7 @@ class TransformLayer:
 
     def __post_init__(self):
         object.__setattr__(self, "subsets", tuple(tuple(s) for s in self.subsets))
-        score_scale = np.array(self.score_scale, dtype=np.float64)
-        score_scale.setflags(write=False)
-        object.__setattr__(self, "score_scale", score_scale)
+        freeze_arrays(self, score_scale=np.array(self.score_scale, dtype=np.float64))
         if self.input_features < 1:
             raise ValueError("input_features must be positive")
         for subset in self.subsets:

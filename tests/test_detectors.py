@@ -14,7 +14,6 @@ from fenkit.detectors import (
     PcaDetector,
     detector_control_limit,
     detector_features,
-    feature_count,
     feature_names,
     fit_detector_bank,
     fit_dpca_detector,
@@ -132,6 +131,11 @@ class TestScorePca:
         model = fit_pca_detector(correlated_data(13))
         with pytest.raises(ValueError, match="variables"):
             score_pca(model, np.zeros((1, 4)))
+
+    def test_empty_matrix_scores_empty(self):
+        model = fit_pca_detector(correlated_data(13))
+        t2, q = score_pca(model, np.zeros((0, 5)))
+        assert t2.shape == (0,) and q.shape == (0,)
 
 
 class TestDpca:
@@ -321,6 +325,18 @@ class TestKpca:
         with pytest.raises(ValueError):
             fit_kpca_detector(correlated_data(37), "sigmoid")
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_poly_fit_with_far_outliers(self, seed):
+        """Two training rows near +-10 sigma on ten channels give poly
+        kernel entries near 1e8, where one rounding step of the centring
+        exceeds sym_eig's absolute symmetry bound; the fit still succeeds."""
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((200, 10))
+        values[5] = 10.0 + rng.standard_normal(10)
+        values[100] = -10.0 + rng.standard_normal(10)
+        model = fit_kpca_detector(as_dataset(values), "poly")
+        assert np.all(np.isfinite(score_kpca(model, values)))
+
 
 class TestBank:
     def test_default_bank_has_seven_features(self):
@@ -331,7 +347,7 @@ class TestBank:
 
     def test_feature_counts_sum(self):
         bank = fit_detector_bank(correlated_data(39))
-        assert sum(feature_count(d) for d in bank.detectors) == bank.k
+        assert sum(len(feature_names(d)) for d in bank.detectors) == bank.k
 
     def test_bank_determinism(self):
         data = correlated_data(40)

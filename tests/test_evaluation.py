@@ -257,15 +257,17 @@ class TestRunExperiment:
                 assert cell.fdr == flags[test.labels > 0].mean()
                 assert cell.far == flags[test.labels == 0].mean()
 
-    def test_dpca_method_needs_lags(self):
-        """At dpca_lags=0 the dpca member is plain PCA, whose features the
-        bank names pca_t2/pca_q; the dpca cells say so."""
+    def test_dpca_at_lag_zero_reports_pca(self):
+        """At dpca_lags=0 the dpca member is plain PCA, so the dpca cells
+        carry the PCA values."""
         grid = ExperimentGrid(
-            scenarios=(step_scenario(),), methods=("dpca_t2", "pca_t2"), depths=(0,),
+            scenarios=(step_scenario(),),
+            methods=("dpca_t2", "dpca_q", "pca_t2", "pca_q"), depths=(0,),
             pipeline=PipelineConfig(bank=DetectorBankConfig(dpca_lags=0), l_max=0))
-        dpca, pca = run_experiment(grid).cells
-        assert "dpca_lags > 0" in dpca.error
-        assert pca.error is None
+        dpca_t2, dpca_q, pca_t2, pca_q = run_experiment(grid).cells
+        assert (dpca_t2.fdr, dpca_t2.far) == (pca_t2.fdr, pca_t2.far)
+        assert (dpca_q.fdr, dpca_q.far) == (pca_q.fdr, pca_q.far)
+        assert dpca_t2.error is None and dpca_q.error is None
 
     def test_each_test_stage_scored_once(self, monkeypatch):
         """Depths 0-2 apply each fitted layer to the test record once:

@@ -234,13 +234,15 @@ class TestDetect:
         np.testing.assert_array_equal(first.flags, second.flags)
 
 
+EMPTY_ARRAY = '{"type": "ndarray", "shape": [0], "offset": 0}'
+
+
 def model_header(bank='{"type": "DetectorBank", "detectors": [], "feature_names": []}',
                  layers="[]", config='{"type": "PipelineConfig"}') -> str:
     """Header of a FenetModel with an empty bank and decision, so it
     needs no data block."""
-    empty = '{"type": "ndarray", "shape": [0], "offset": 0}'
     decision = ('{"type": "DecisionModel", "mean": %s, "std": %s, "norm_order": 1, '
-                '"limit": 0.0, "confidence": 0.99}' % (empty, empty))
+                '"limit": 0.0, "confidence": 0.99}' % (EMPTY_ARRAY, EMPTY_ARRAY))
     return ('{"type": "FenetModel", "bank": %s, "layers": %s, "decision": %s, '
             '"config": %s}' % (bank, layers, decision, config))
 
@@ -360,6 +362,16 @@ class TestModelFile:
                      id="bank-not-a-bank"),
         pytest.param(model_header(layers="[5]"), 0,
                      "'layers' of FenetModel holds tuple", id="layer-not-a-layer"),
+        pytest.param(model_header(bank=(
+            '{"type": "DetectorBank", "feature_names": ["pca_t2", "pca_q"], '
+            '"detectors": [{"type": "PcaDetector", "projection": %s, '
+            '"retained_eigenvalues": %s, "scaler": {"type": "ScalerStats", '
+            '"mean": %s, "std": %s}, "t": 1, "lags": 1.5}]}'
+            % ((EMPTY_ARRAY,) * 4))), 0, "'lags' of PcaDetector holds float",
+            id="lags-not-an-int"),
+        pytest.param(model_header(config='{"type": "PipelineConfig", "norm_order": true}'),
+                     0, "'norm_order' of PipelineConfig holds bool",
+                     id="bool-in-int-field"),
         pytest.param("{}", 0, "unknown type None", id="empty-object"),
         pytest.param('{"bank": {}}', 0, "unknown type None", id="untyped"),
         pytest.param("[]", 0, "does not describe a model", id="list"),
@@ -389,7 +401,8 @@ class TestModelFile:
 
     def test_numbers_load_into_int_and_float_fields(self, tmp_path):
         """Variant("sparse", beta=1) is saved with the JSON integer 1 and
-        master_seed=5.0 with the JSON float 5.0; both load back equal."""
+        master_seed=5.0 with the JSON float 5.0; both load back equal, the
+        seed as an int."""
         variant = Variant("sparse", beta=1)
         template = replace(DEFAULT_LAYER_TEMPLATE, ae_variant=variant)
         path = tmp_path / "model.fenet"
@@ -398,7 +411,7 @@ class TestModelFile:
             % json.dumps(encode(template))))
         config = load(path).config
         assert config.layer_template.ae_variant == variant
-        assert config.master_seed == 5
+        assert config.master_seed == 5 and isinstance(config.master_seed, int)
 
 
 class TestConfigFile:
