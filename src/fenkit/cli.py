@@ -38,10 +38,16 @@ from .pipeline import (
 from .transform import apply_layer, layer_loss
 
 
-def _remove_quietly(*paths) -> None:
-    for path in paths:
-        with contextlib.suppress(OSError):
-            Path(path).unlink(missing_ok=True)
+@contextlib.contextmanager
+def _removed_on_failure(*paths):
+    """Delete the named outputs if the block raises, then re-raise."""
+    try:
+        yield
+    except BaseException:
+        for path in paths:
+            with contextlib.suppress(OSError):
+                Path(path).unlink(missing_ok=True)
+        raise
 
 
 def _command_generate(args) -> None:
@@ -53,13 +59,10 @@ def _command_generate(args) -> None:
     train_path = out_dir / "train.csv"
     test_path = out_dir / "test.csv"
     sidecar_path = out_dir / "synthetic.ini"
-    try:
+    with _removed_on_failure(train_path, test_path, sidecar_path):
         write_csv(train, train_path)
         write_csv(test, test_path)
         write_sidecar(config, sidecar_path)
-    except BaseException:
-        _remove_quietly(train_path, test_path, sidecar_path)
-        raise
     print(f"wrote {train_path} ({train.n_samples} rows), "
           f"{test_path} ({test.n_samples} rows), {sidecar_path}")
     print(f"variables {config.n_variables}, fault {config.fault_type}, "
@@ -71,11 +74,8 @@ def _command_train(args) -> None:
     config = read_pipeline_config(args.config) if args.config \
         else PipelineConfig()
     model = fit(data, config)
-    try:
+    with _removed_on_failure(args.model):
         save(model, args.model)
-    except BaseException:
-        _remove_quietly(args.model)
-        raise
 
     print(f"trained on {data.n_samples} rows x {data.n_variables} variables, "
           f"master seed {config.master_seed}")
@@ -100,20 +100,17 @@ def _command_detect(args) -> None:
     if args.onset is not None:
         test = attach_onset_labels(test, args.onset)
     result = detect(model, test)
-    try:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(f"# master_seed={model.config.master_seed} "
-                         f"limit={result.limit!r} "
-                         f"valid_from={result.valid_from}\n")
-            handle.write("sample,index_value,limit,flag\n")
-            for offset, (value, flag) in enumerate(zip(result.index_values,
-                                                       result.flags)):
-                handle.write(f"{result.valid_from + offset},"
-                             f"{float(value)!r},{result.limit!r},"
-                             f"{int(flag)}\n")
-    except BaseException:
-        _remove_quietly(args.out)
-        raise
+    with _removed_on_failure(args.out), \
+            open(args.out, "w", encoding="utf-8") as handle:
+        handle.write(f"# master_seed={model.config.master_seed} "
+                     f"limit={result.limit!r} "
+                     f"valid_from={result.valid_from}\n")
+        handle.write("sample,index_value,limit,flag\n")
+        for offset, (value, flag) in enumerate(zip(result.index_values,
+                                                   result.flags)):
+            handle.write(f"{result.valid_from + offset},"
+                         f"{float(value)!r},{result.limit!r},"
+                         f"{int(flag)}\n")
     print(f"scored {result.index_values.shape[0]} rows "
           f"(first {result.valid_from} excluded), results in {args.out}")
     if args.onset is not None:
@@ -129,11 +126,8 @@ def _command_evaluate(args) -> None:
     report = run_experiment(grid)
     text_path = Path(args.out) / f"report_{report.config_hash}.txt"
     csv_path = Path(args.out) / f"report_{report.config_hash}.csv"
-    try:
+    with _removed_on_failure(text_path, csv_path):
         write_report(report, args.out)
-    except BaseException:
-        _remove_quietly(text_path, csv_path)
-        raise
     sys.stdout.write(format_report(report))
     print(f"report written to {text_path} and {csv_path} "
           f"in {report.seconds:.1f}s")
@@ -143,11 +137,8 @@ def _command_report(args) -> None:
     report = read_report_csv(args.results)
     text = format_report(report)
     if args.out:
-        try:
+        with _removed_on_failure(args.out):
             Path(args.out).write_text(text, encoding="utf-8")
-        except BaseException:
-            _remove_quietly(args.out)
-            raise
         print(f"report written to {args.out}")
     else:
         sys.stdout.write(text)

@@ -1,16 +1,18 @@
-"""Process data handling: CSV ingestion, standardization, and a seeded
-synthetic generator for coupled multivariate data with injected faults.
+"""Process data handling: CSV ingestion, standardization, a seeded
+synthetic generator for coupled multivariate data with injected faults,
+and the field codec every fenkit text file is read and written with.
 
 Datasets are frozen after construction; every operation returns a new
 object, so instances are safe to share across threads.
 """
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import get_args, get_origin
 
 import numpy as np
 
-from .numerics import EPS_STD, freeze_arrays
+from .numerics import EPS_STD, column_std, freeze_arrays
 
 FAULT_TYPES = ("step", "random_variation", "slow_drift", "sticking", "none")
 
@@ -101,7 +103,7 @@ class SyntheticConfig:
     n_test: int
     fault_type: str = "none"
     fault_amplitude: float = 1.0
-    fault_channels: tuple = ()
+    fault_channels: tuple[int, ...] = ()
     fault_onset: int = 0
     seed: int = 0
 
@@ -195,9 +197,7 @@ def fit_standardize(train: ProcessDataset) -> ScalerStats:
     (frozen-sensor) columns standardize to zero instead of erroring."""
     if train.n_samples < 2:
         raise ValueError("standardization needs at least 2 training rows")
-    mean = train.values.mean(axis=0)
-    std = train.values.std(axis=0, ddof=1)
-    return ScalerStats(mean=mean, std=np.maximum(std, EPS_STD))
+    return ScalerStats(train.values.mean(axis=0), column_std(train.values))
 
 
 def apply_standardize(data: ProcessDataset, stats: ScalerStats) -> ProcessDataset:
@@ -257,7 +257,7 @@ def generate_synthetic(config: SyntheticConfig) -> ProcessDataset:
         states[t] = prev
     values = states[_BURN_IN:]
 
-    channel_std = np.maximum(values[: config.n_train].std(axis=0, ddof=1), EPS_STD)
+    channel_std = column_std(values[: config.n_train])
 
     if config.fault_type == "step":
         for ch in config.fault_channels:
@@ -278,44 +278,69 @@ def generate_synthetic(config: SyntheticConfig) -> ProcessDataset:
     return ProcessDataset(values, labels, name=f"synthetic-{config.fault_type}-{config.seed}")
 
 
+def field_text(value) -> str:
+    """A field value as file text: tuple items space-separated, None empty."""
+    if value is None:
+        return ""
+    return " ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def _parse_field(text: str, annotation):
+    """Text as a field annotated int, float, str, tuple[X, ...] or X | None."""
+    if get_origin(annotation) is tuple:
+        return tuple(_parse_field(token, get_args(annotation)[0]) for token in text.split())
+    if type(None) in get_args(annotation):
+        return None if text == "" else _parse_field(text, get_args(annotation)[0])
+    return annotation(text)
+
+
+def read_section(section, label: str, target, keys=None, shared=(), **given):
+    """Build (target a dataclass type) or update (an instance) a dataclass
+    from a parsed section, each value parsed as its field's annotation.
+
+    keys maps each accepted key to its field (default: every field not in
+    `given`, which sets fields from elsewhere); keys in `shared` belong to
+    another reader of the section.  An unknown key, an unreadable value or
+    a missing required field raises ValueError naming the key and `label`.
+    """
+    if keys is None:
+        keys = {f.name: f.name for f in fields(target) if f.name not in given}
+    unknown = section.keys() - keys.keys() - set(shared)
+    if unknown:
+        raise ValueError(f"[{label}]: unknown key {min(unknown)!r}")
+    declared = {f.name: f for f in fields(target)}
+    values = dict(given)
+    for key, field in keys.items():
+        if key in section:
+            try:
+                values[field] = _parse_field(section[key], declared[field].type)
+            except ValueError:
+                raise ValueError(f"[{label}]: cannot read {key} = {section[key]!r}") from None
+        elif isinstance(target, type) and declared[field].default is MISSING:
+            raise ValueError(f"[{label}]: missing key {key!r}")
+    return target(**values) if isinstance(target, type) else replace(target, **values)
+
+
+def read_ini(path, kind: str, *sections) -> configparser.ConfigParser:
+    """A parsed key-value file that must hold the named sections."""
+    parser = configparser.ConfigParser()
+    if not parser.read(path):
+        raise FileNotFoundError(f"{kind} file not found: {path}")
+    for section in sections:
+        if section not in parser:
+            raise ValueError(f"{path}: missing [{section}] section")
+    return parser
+
+
 def write_sidecar(config: SyntheticConfig, path) -> None:
     """Key-value metadata recording exactly how a dataset was produced."""
     parser = configparser.ConfigParser()
-    parser["synthetic"] = {
-        "n_variables": str(config.n_variables),
-        "n_train": str(config.n_train),
-        "n_test": str(config.n_test),
-        "fault_type": config.fault_type,
-        "fault_amplitude": repr(config.fault_amplitude),
-        "fault_channels": " ".join(str(c) for c in config.fault_channels),
-        "fault_onset": str(config.fault_onset),
-        "seed": str(config.seed),
-    }
+    parser["synthetic"] = {f.name: field_text(getattr(config, f.name))
+                           for f in fields(config)}
     with open(path, "w", encoding="utf-8") as handle:
         parser.write(handle)
 
 
-def synthetic_config_from_section(section) -> SyntheticConfig:
-    """SyntheticConfig from one parsed key-value section (sidecars and
-    scenario blocks share the key set)."""
-    channels = tuple(int(tok) for tok in section.get("fault_channels", "").split())
-    return SyntheticConfig(
-        n_variables=section.getint("n_variables"),
-        n_train=section.getint("n_train"),
-        n_test=section.getint("n_test"),
-        fault_type=section.get("fault_type", "none"),
-        fault_amplitude=section.getfloat("fault_amplitude", 1.0),
-        fault_channels=channels,
-        fault_onset=section.getint("fault_onset", 0),
-        seed=int(section.get("seed", "0")),
-    )
-
-
 def read_synthetic_config(path) -> SyntheticConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise FileNotFoundError(f"config file not found: {path}")
-    if "synthetic" not in parser:
-        raise ValueError(f"{path}: missing [synthetic] section")
-    return synthetic_config_from_section(parser["synthetic"])
+    parser = read_ini(path, "config", "synthetic")
+    return read_section(parser["synthetic"], "synthetic", SyntheticConfig)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import EPS_STD, empirical_quantile, freeze_arrays
+from .numerics import EPS_STD, column_std, empirical_quantile, freeze_arrays
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def fit_decision(train_codes: np.ndarray, confidence: float = 0.99,
     if codes.ndim != 2 or codes.shape[0] < 2:
         raise ValueError("fitting needs a matrix of at least 2 code rows")
     mean = codes.mean(axis=0)
-    std = np.maximum(codes.std(axis=0, ddof=1), EPS_STD)
+    std = column_std(codes)
     probe = DecisionModel(mean, std, norm_order, limit=0.0, confidence=confidence)
     train_d = detection_index(probe, codes)
     limit = empirical_quantile(train_d, confidence)

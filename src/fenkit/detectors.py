@@ -15,6 +15,7 @@ import numpy as np
 from .datasets import ProcessDataset, ScalerStats, fit_standardize
 from .numerics import (
     EPS_STD,
+    column_std,
     covariance,
     empirical_quantile,
     freeze_arrays,
@@ -177,11 +178,6 @@ def _augment_lags(values: np.ndarray, lags: int) -> np.ndarray:
     return np.column_stack([values[lags - k: n - k] for k in range(lags + 1)])
 
 
-def _matrix_stats(matrix: np.ndarray) -> ScalerStats:
-    return ScalerStats(matrix.mean(axis=0),
-                       np.maximum(matrix.std(axis=0, ddof=1), EPS_STD))
-
-
 def _regularized_inverse(matrix: np.ndarray) -> np.ndarray:
     m = matrix.shape[0]
     trace = float(np.trace(matrix))
@@ -227,7 +223,7 @@ def fit_dpca_detector(train: ProcessDataset, lags: int = 2,
     augmented = _augment_lags(train.values, lags)
     if augmented.shape[0] < 2:
         raise ValueError("not enough rows after lag augmentation")
-    scaler = _matrix_stats(augmented)
+    scaler = ScalerStats(augmented.mean(axis=0), column_std(augmented))
     projection, eigenvalues = _principal_subspace(
         _standardized(augmented, scaler), variance_fraction)
     return PcaDetector(projection, eigenvalues, scaler, t=projection.shape[1], lags=lags)
@@ -405,9 +401,11 @@ def fit_bank_member(train: ProcessDataset, member: str,
 def fit_detector_bank(train: ProcessDataset,
                       config: DetectorBankConfig = DetectorBankConfig()) -> DetectorBank:
     """Fit the configured members in their fixed order; the default bank
-    yields seven features."""
+    yields seven features, named <member>_t2 and <member>_q for pca and
+    dpca and by the member for md1-md3."""
     fitted = tuple(fit_bank_member(train, member, config) for member in config.members)
-    names = tuple(name for det in fitted for name in feature_names(det))
+    names = tuple(name for member in config.members for name in (
+        (f"{member}_t2", f"{member}_q") if member in ("pca", "dpca") else (member,)))
     return DetectorBank(fitted, names)
 
 

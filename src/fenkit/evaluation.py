@@ -6,21 +6,22 @@ Reports are pure functions of (datasets, config, seeds): wall time never
 enters the report files, so reruns of the same grid are byte-identical.
 """
 
-import configparser
 import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .datasets import (
     ProcessDataset,
     SyntheticConfig,
     attach_onset_labels,
+    field_text,
     generate_synthetic,
     load_csv,
-    synthetic_config_from_section,
+    read_ini,
+    read_section,
 )
 from .decision import fit_decision
 from .detectors import (
@@ -46,8 +47,11 @@ BASE_METHODS = ("pca_t2", "pca_q", "dpca_t2", "dpca_q", "md1", "md2", "md3",
 PIPELINE_METHOD = "ae"
 KNOWN_METHODS = BASE_METHODS + (PIPELINE_METHOD,)
 
+# ReportCell fields plus the report's master_seed and config_hash.
 _CSV_COLUMNS = ("scenario", "method", "l_max", "fdr", "far", "excluded_rows",
                 "scenario_seed", "master_seed", "config_hash", "error")
+_REPORT_COLUMNS = ("master_seed", "config_hash")
+_FILE_SCENARIO_KEYS = {"train": "train_path", "test": "test_path", "onset": "onset"}
 
 
 def fdr(flags, labels) -> float:
@@ -99,8 +103,8 @@ class ScenarioSpec:
 @dataclass(frozen=True)
 class ExperimentGrid:
     scenarios: tuple
-    methods: tuple = (PIPELINE_METHOD,)
-    depths: tuple = (0, 1, 2)
+    methods: tuple[str, ...] = (PIPELINE_METHOD,)
+    depths: tuple[int, ...] = (0, 1, 2)
     pipeline: PipelineConfig = PipelineConfig()
 
     def __post_init__(self):
@@ -324,17 +328,9 @@ def write_report(report: ExperimentReport, out_dir) -> tuple:
         writer = csv.writer(handle)
         writer.writerow(_CSV_COLUMNS)
         for cell in report.cells:
-            writer.writerow((
-                cell.scenario, cell.method,
-                "" if cell.l_max is None else cell.l_max,
-                "" if cell.fdr is None else repr(cell.fdr),
-                "" if cell.far is None else repr(cell.far),
-                cell.excluded_rows,
-                "" if cell.scenario_seed is None else cell.scenario_seed,
-                report.master_seed,
-                report.config_hash,
-                cell.error or "",
-            ))
+            values = asdict(cell) | {name: getattr(report, name)
+                                     for name in _REPORT_COLUMNS}
+            writer.writerow(field_text(values[name]) for name in _CSV_COLUMNS)
     return text_path, csv_path
 
 
@@ -349,42 +345,22 @@ def read_report_csv(path) -> ExperimentReport:
     if not rows or tuple(rows[0]) != _CSV_COLUMNS:
         raise ValueError(f"{path}: not a report file")
     cells = []
-    master_seed = 0
-    config_hash = ""
-    for row in rows[1:]:
+    for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(_CSV_COLUMNS):
             raise ValueError(f"{path}: malformed report row {row!r}")
-        (scenario, method, l_max, cell_fdr, cell_far, excluded, scenario_seed,
-         master, digest, error) = row
-        cells.append(ReportCell(
-            scenario, method,
-            None if l_max == "" else int(l_max),
-            None if cell_fdr == "" else float(cell_fdr),
-            None if cell_far == "" else float(cell_far),
-            int(excluded),
-            None if scenario_seed == "" else int(scenario_seed),
-            error=error or None,
-        ))
-        master_seed = int(master)
-        config_hash = digest
+        values = dict(zip(_CSV_COLUMNS, row))
+        cells.append(read_section(values, f"{path} row {number}", ReportCell,
+                                  shared=_REPORT_COLUMNS))
     if not cells:
         raise ValueError(f"{path}: report has no cells")
-    return ExperimentReport(tuple(cells), config_hash, master_seed, 0.0)
+    return ExperimentReport(tuple(cells), values["config_hash"],
+                            int(values["master_seed"]), 0.0)
 
 
 def read_grid(path) -> ExperimentGrid:
     """Grid file: a [grid] section (methods, depths), optional pipeline
     sections, and one [scenario:<name>] section per dataset."""
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"grid file not found: {path}")
-    if "grid" not in parser:
-        raise ValueError(f"{path}: missing [grid] section")
-    grid_section = parser["grid"]
-    methods = tuple(grid_section.get("methods", PIPELINE_METHOD).split())
-    depths = tuple(int(tok) for tok in grid_section.get("depths", "0 1 2").split())
-    pipeline = pipeline_config_from_parser(parser)
-
+    parser = read_ini(path, "grid", "grid")
     scenarios = []
     for section_name in parser.sections():
         if not section_name.startswith("scenario:"):
@@ -392,14 +368,13 @@ def read_grid(path) -> ExperimentGrid:
         name = section_name.split(":", 1)[1]
         section = parser[section_name]
         if "train" in section or "test" in section:
-            onset = section.getint("onset") if "onset" in section else None
-            scenarios.append(ScenarioSpec(
-                name, train_path=section.get("train"),
-                test_path=section.get("test"), onset=onset,
-            ))
+            scenarios.append(read_section(section, section_name, ScenarioSpec,
+                                          _FILE_SCENARIO_KEYS, name=name))
         else:
-            scenarios.append(ScenarioSpec(
-                name, synthetic=synthetic_config_from_section(section)))
+            scenarios.append(ScenarioSpec(name, synthetic=read_section(
+                section, section_name, SyntheticConfig)))
     if not scenarios:
         raise ValueError(f"{path}: no [scenario:<name>] sections")
-    return ExperimentGrid(tuple(scenarios), methods, depths, pipeline)
+    return read_section(parser["grid"], "grid", ExperimentGrid,
+                        scenarios=tuple(scenarios),
+                        pipeline=pipeline_config_from_parser(parser))

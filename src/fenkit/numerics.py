@@ -34,6 +34,11 @@ class SymmetricEig:
     eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
 
 
+def column_std(matrix: np.ndarray) -> np.ndarray:
+    """Per-column n-1 standard deviation, floored at EPS_STD."""
+    return np.maximum(matrix.std(axis=0, ddof=1), EPS_STD)
+
+
 def covariance(data: np.ndarray) -> np.ndarray:
     """Sample covariance (1/(n-1)) * (X - mean)^T (X - mean).
 

@@ -18,7 +18,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 from .autoencoder import Autoencoder, Layer, TrainConfig, Variant
-from .datasets import ProcessDataset, ScalerStats
+from .datasets import ProcessDataset, ScalerStats, field_text, read_ini, read_section
 from .decision import DecisionModel, alarms, detection_index, fit_decision
 from .detectors import (
     DetectorBank,
@@ -362,74 +362,53 @@ def load(path) -> FenetModel:
     return model
 
 
-# INI key -> field name, per section; [layer] also carries the
-# autoencoder variant under its own key names.
-_INI_FIELDS = {section: {key: key for key in keys} for section, keys in (
-    ("pipeline", ("l_max", "confidence", "norm_order", "master_seed")),
-    ("detectors", ("members", "pca_variance_fraction", "md2_variance_fraction",
-                   "dpca_lags")),
-    ("layer", ("window_width", "subset_size", "max_subsets",
-               "pca_variance_fraction", "code_dim", "hidden_dims")),
-    ("training", ("epochs", "learning_rate", "l1_weight", "beta1", "beta2",
-                  "eps_adam")),
-)}
+# INI key -> field per section: the class's fields less nested ones and the
+# seeds derived from master_seed; [layer] also holds the variant's keys.
+_INI_FIELDS = {section: {f.name: f.name for f in fields(cls) if f.name not in (
+    "bank", "layer_template", "layers", "ae_variant", "training", "seed")}
+    for section, cls in (("pipeline", PipelineConfig), ("detectors", DetectorBankConfig),
+                         ("layer", LayerConfig), ("training", TrainConfig))}
 _VARIANT_FIELDS = {"variant": "kind", "sparse_rho": "rho", "sparse_beta": "beta"}
 
 
-def _ini_text(value) -> str:
-    return " ".join(str(item) for item in value) if isinstance(value, tuple) \
-        else str(value)
-
-
-def _ini_value(text: str, default):
-    """INI text parsed to the type of the field's default value."""
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(token) for token in text.split())
-    return type(default)(text)
-
-
 def write_pipeline_config(config: PipelineConfig, path) -> None:
-    """Sectioned key = value rendering of a template-based config."""
+    """Sectioned key = value rendering of a template-based config; explicit
+    layers that one template cannot reproduce raise ValueError (a fitted
+    model's config, resolved from a template, writes)."""
     template = config.layers[0] if config.layers else config.layer_template
     sources = {"pipeline": config, "detectors": config.bank, "layer": template,
                "training": template.training}
     parser = configparser.ConfigParser()
     for section, names in _INI_FIELDS.items():
-        parser[section] = {key: _ini_text(getattr(sources[section], field))
+        parser[section] = {key: field_text(getattr(sources[section], field))
                            for key, field in names.items()}
-    parser["layer"].update({key: _ini_text(getattr(template.ae_variant, field))
+    parser["layer"].update({key: field_text(getattr(template.ae_variant, field))
                             for key, field in _VARIANT_FIELDS.items()})
+    if (resolve_layer_configs(pipeline_config_from_parser(parser))
+            != resolve_layer_configs(config)):
+        raise ValueError("a config file holds one layer template, which does "
+                         "not reproduce this config's explicit layers")
     with open(path, "w", encoding="utf-8") as handle:
         parser.write(handle)
 
 
 def read_pipeline_config(path) -> PipelineConfig:
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    for section in _INI_FIELDS:
-        if section not in parser:
-            raise ValueError(f"{path}: missing [{section}] section")
-    return pipeline_config_from_parser(parser)
+    return pipeline_config_from_parser(read_ini(path, "config", *_INI_FIELDS))
 
 
 def pipeline_config_from_parser(parser: configparser.ConfigParser) -> PipelineConfig:
     """Config from already-parsed sections; absent sections and keys fall
     back to the defaults of PipelineConfig(), so embedding files may carry
-    only the overrides."""
-    def read(section, defaults, names):
+    only the overrides.  [layer] holds the layer and the variant keys."""
+    def read(section, target, keys=None, shared=(), **given):
         values = parser[section] if section in parser else {}
-        return replace(defaults, **{
-            field: _ini_value(values[key], getattr(defaults, field))
-            for key, field in names.items() if key in values})
+        return read_section(values, section, target, keys or _INI_FIELDS[section],
+                            shared, **given)
 
-    defaults = PipelineConfig()
     template = DEFAULT_LAYER_TEMPLATE
-    layer = replace(
-        read("layer", template, _INI_FIELDS["layer"]),
-        ae_variant=read("layer", template.ae_variant, _VARIANT_FIELDS),
-        training=read("training", template.training, _INI_FIELDS["training"]),
-    )
-    return replace(read("pipeline", defaults, _INI_FIELDS["pipeline"]),
-                   bank=read("detectors", defaults.bank, _INI_FIELDS["detectors"]),
-                   layer_template=layer)
+    layer = read("layer", template, shared=_VARIANT_FIELDS,
+                 ae_variant=read("layer", template.ae_variant, _VARIANT_FIELDS,
+                                 _INI_FIELDS["layer"]),
+                 training=read("training", template.training))
+    return read("pipeline", PipelineConfig(), layer_template=layer,
+                bank=read("detectors", PipelineConfig().bank))

@@ -28,6 +28,7 @@ from .autoencoder import (
 from .ensemble import FeatureMatrix
 from .numerics import (
     EPS_STD,
+    column_std,
     covariance,
     freeze_arrays,
     retained_count,
@@ -229,7 +230,7 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
                                     derive_seed(config.seed, 0))
     fused = build_fused_matrix(features, subsets, config.window_width)
     reduction, reduced = fit_pca_reduction(fused.values, config.pca_variance_fraction)
-    score_scale = np.maximum(reduced.std(axis=0, ddof=1), EPS_STD)
+    score_scale = column_std(reduced)
     scaled = reduced / score_scale
 
     ae = init_autoencoder(scaled.shape[1], config.code_dim, config.ae_variant,

@@ -159,6 +159,20 @@ class TestSyntheticConfig:
         write_sidecar(config, path)
         assert read_synthetic_config(path) == config
 
+    def test_recipe_unknown_key_rejected(self, tmp_path):
+        """fault_typ used to be skipped, generating a fault-free record."""
+        path = tmp_path / "recipe.ini"
+        path.write_text("[synthetic]\nn_variables = 3\nn_train = 20\nn_test = 10\n"
+                        "fault_typ = step\nfault_channels = 1\n")
+        with pytest.raises(ValueError, match="unknown key 'fault_typ'"):
+            read_synthetic_config(path)
+
+    def test_recipe_missing_required_key(self, tmp_path):
+        path = tmp_path / "recipe.ini"
+        path.write_text("[synthetic]\nn_train = 20\nn_test = 10\n")
+        with pytest.raises(ValueError, match="missing key 'n_variables'"):
+            read_synthetic_config(path)
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):

@@ -345,6 +345,13 @@ class TestBank:
         assert bank.feature_names == ("pca_t2", "pca_q", "dpca_t2", "dpca_q",
                                       "md1", "md2", "md3")
 
+    def test_names_follow_members_at_lag_zero(self):
+        """A dpca member fitted at lag 0 keeps its own names, so no two
+        columns share one."""
+        bank = fit_detector_bank(correlated_data(38), DetectorBankConfig(dpca_lags=0))
+        assert bank.feature_names == ("pca_t2", "pca_q", "dpca_t2", "dpca_q",
+                                      "md1", "md2", "md3")
+
     def test_feature_counts_sum(self):
         bank = fit_detector_bank(correlated_data(39))
         assert sum(len(feature_names(d)) for d in bank.detectors) == bank.k

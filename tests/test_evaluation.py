@@ -435,6 +435,24 @@ seed = 21
         assert spec.train_path == "data/train.csv"
         assert spec.onset == 500
 
+    @pytest.mark.parametrize("section, line", [
+        ("grid", "method = md1"),
+        ("scenario:step", "fault_typ = step"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, line):
+        path = tmp_path / "grid.ini"
+        path.write_text(self.GRID_TEXT.replace(f"[{section}]\n", f"[{section}]\n{line}\n"))
+        key = line.split()[0]
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            read_grid(path)
+
+    def test_file_scenario_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "grid.ini"
+        path.write_text("[grid]\nmethods = md1\n\n[scenario:real]\n"
+                        "train = a.csv\ntest = b.csv\nonst = 5\n")
+        with pytest.raises(ValueError, match=r"\[scenario:real\]: unknown key 'onst'"):
+            read_grid(path)
+
     def test_missing_grid_section(self, tmp_path):
         path = tmp_path / "grid.ini"
         path.write_text("[scenario:x]\nn_variables = 3\n")

@@ -7,12 +7,21 @@ import pytest
 from helpers import gram_singular_values
 
 from fenkit.numerics import (
+    EPS_STD,
     SymmetricEig,
+    column_std,
     covariance,
     empirical_quantile,
     singular_values,
     sym_eig,
 )
+
+
+class TestColumnStd:
+    def test_n_minus_one_and_floor(self):
+        data = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
+        np.testing.assert_array_equal(column_std(data),
+                                      [np.std(np.arange(5.0), ddof=1), EPS_STD])
 
 
 class TestCovariance:

@@ -446,6 +446,50 @@ class TestConfigFile:
         path.write_text("[pipeline]\n[detectors]\n[layer]\n[training]\n")
         assert read_pipeline_config(path) == PipelineConfig()
 
+    @pytest.mark.parametrize("section, key", [
+        ("pipeline", "lmax"), ("detectors", "member"), ("layer", "window"),
+        ("layer", "sparse_rh"), ("training", "epoch"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, section, key):
+        """A mistyped key fails by name instead of leaving its field at the
+        default ([training] epoch = 5 used to train 2000 epochs)."""
+        path = tmp_path / "pipeline.ini"
+        write_pipeline_config(PipelineConfig(), path)
+        text = path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = 5\n")
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"\\[{section}\\]: unknown key '{key}'"):
+            read_pipeline_config(path)
+
+    def test_unreadable_value_names_key(self, tmp_path):
+        path = tmp_path / "pipeline.ini"
+        path.write_text("[pipeline]\n[detectors]\n[layer]\nhidden_dims = 8 x\n[training]\n")
+        with pytest.raises(ValueError, match="hidden_dims = '8 x'"):
+            read_pipeline_config(path)
+
+    def test_fitted_model_config_writes(self, tmp_path):
+        """A fitted model stores its resolved layers; they come from one
+        template, so the config writes and reads back to the same layers."""
+        train, _ = synthetic_pair()
+        config = small_config(l_max=1, layer_template=replace(
+            SMALL_TEMPLATE, training=TrainConfig(epochs=2)))
+        model = fit(train, config)
+        path = tmp_path / "pipeline.ini"
+        write_pipeline_config(model.config, path)
+        assert read_pipeline_config(path) == config
+        assert resolve_layer_configs(read_pipeline_config(path)) \
+            == list(model.config.layers)
+
+    def test_explicit_layers_beyond_one_template_rejected(self, tmp_path):
+        """Two layers that differ in width and L1 weight cannot be written as
+        one template; the file would read back as a different config."""
+        second = replace(SMALL_TEMPLATE, code_dim=6, seed=1,
+                         training=TrainConfig(epochs=60, l1_weight=0.1))
+        config = small_config(layers=(SMALL_TEMPLATE, second))
+        path = tmp_path / "pipeline.ini"
+        with pytest.raises(ValueError, match="one layer template"):
+            write_pipeline_config(config, path)
+        assert not path.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_pipeline_config(tmp_path / "absent.ini")
