@@ -30,8 +30,6 @@ class ProcessDataset:
 
     values: np.ndarray
     labels: np.ndarray
-    sample_interval_minutes: float = 3.0
-    name: str = "dataset"
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -47,8 +45,6 @@ class ProcessDataset:
         if np.any(labels < 0):
             raise ValueError(
                 "labels must be non-negative: 0 is normal, a positive value a fault id")
-        if self.sample_interval_minutes <= 0:
-            raise ValueError("sample_interval_minutes must be positive")
         freeze_arrays(self, values=values, labels=labels)
 
     @property
@@ -63,18 +59,9 @@ class ProcessDataset:
         """Split into leading/trailing phases of n_first and n - n_first rows."""
         if not (0 < n_first < self.n_samples):
             raise ValueError(f"split point {n_first} outside (0, {self.n_samples})")
-        head = ProcessDataset(
-            self.values[:n_first], self.labels[:n_first],
-            self.sample_interval_minutes, f"{self.name}/train",
-        )
-        tail = ProcessDataset(
-            self.values[n_first:], self.labels[n_first:],
-            self.sample_interval_minutes, f"{self.name}/test",
-        )
+        head = ProcessDataset(self.values[:n_first], self.labels[:n_first])
+        tail = ProcessDataset(self.values[n_first:], self.labels[n_first:])
         return head, tail
-
-    def with_labels(self, labels: np.ndarray) -> "ProcessDataset":
-        return ProcessDataset(self.values, labels, self.sample_interval_minutes, self.name)
 
 
 @dataclass(frozen=True)
@@ -124,7 +111,7 @@ class SyntheticConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def load_csv(path, has_header: bool = False, name: str | None = None) -> ProcessDataset:
+def load_csv(path, has_header: bool = False) -> ProcessDataset:
     """Load a comma-separated numeric export, one row per sampling instant.
 
     All labels default to normal; fault labels are attached afterwards from
@@ -171,8 +158,7 @@ def load_csv(path, has_header: bool = False, name: str | None = None) -> Process
     if not rows:
         raise ValueError(f"{path}: no data rows")
     values = np.array(rows, dtype=np.float64)
-    return ProcessDataset(values, np.zeros(len(rows), dtype=np.int64),
-                          name=name or str(path))
+    return ProcessDataset(values, np.zeros(len(rows), dtype=np.int64))
 
 
 def write_csv(dataset: ProcessDataset, path) -> None:
@@ -183,13 +169,13 @@ def write_csv(dataset: ProcessDataset, path) -> None:
             handle.write("\n")
 
 
-def attach_onset_labels(dataset: ProcessDataset, onset: int, fault_id: int = 1) -> ProcessDataset:
+def attach_onset_labels(dataset: ProcessDataset, onset: int) -> ProcessDataset:
     """Label rows >= onset as faulty; the usual transport for exported data."""
     if not (0 <= onset <= dataset.n_samples):
         raise ValueError(f"onset {onset} outside [0, {dataset.n_samples}]")
     labels = np.zeros(dataset.n_samples, dtype=np.int64)
-    labels[onset:] = fault_id
-    return dataset.with_labels(labels)
+    labels[onset:] = 1
+    return ProcessDataset(dataset.values, labels)
 
 
 def fit_standardize(train: ProcessDataset) -> ScalerStats:
@@ -198,15 +184,6 @@ def fit_standardize(train: ProcessDataset) -> ScalerStats:
     if train.n_samples < 2:
         raise ValueError("standardization needs at least 2 training rows")
     return ScalerStats(train.values.mean(axis=0), column_std(train.values))
-
-
-def apply_standardize(data: ProcessDataset, stats: ScalerStats) -> ProcessDataset:
-    if data.n_variables != stats.mean.shape[0]:
-        raise ValueError(
-            f"column count mismatch: data has {data.n_variables}, stats has {stats.mean.shape[0]}"
-        )
-    values = (data.values - stats.mean) / stats.std
-    return ProcessDataset(values, data.labels, data.sample_interval_minutes, data.name)
 
 
 def _coupling_matrix(m: int) -> np.ndarray:
@@ -275,7 +252,7 @@ def generate_synthetic(config: SyntheticConfig) -> ProcessDataset:
     labels = np.zeros(n_total, dtype=np.int64)
     if config.fault_type != "none":
         labels[onset_abs:] = 1
-    return ProcessDataset(values, labels, name=f"synthetic-{config.fault_type}-{config.seed}")
+    return ProcessDataset(values, labels)
 
 
 def field_text(value) -> str:
@@ -321,14 +298,20 @@ def read_section(section, label: str, target, keys=None, shared=(), **given):
     return target(**values) if isinstance(target, type) else replace(target, **values)
 
 
-def read_ini(path, kind: str, *sections) -> configparser.ConfigParser:
-    """A parsed key-value file that must hold the named sections."""
+def read_ini(path, kind: str, *sections, optional=()) -> configparser.ConfigParser:
+    """A parsed key-value file that must hold the named sections and may
+    hold the optional ones (a name ending in ':' admits every section with
+    that prefix); any other section raises ValueError naming it."""
     parser = configparser.ConfigParser()
     if not parser.read(path):
         raise FileNotFoundError(f"{kind} file not found: {path}")
     for section in sections:
         if section not in parser:
             raise ValueError(f"{path}: missing [{section}] section")
+    for section in parser.sections():
+        if section not in sections + optional and not any(
+                name.endswith(":") and section.startswith(name) for name in optional):
+            raise ValueError(f"{path}: unknown section [{section}] in a {kind} file")
     return parser
 
 
@@ -342,5 +325,5 @@ def write_sidecar(config: SyntheticConfig, path) -> None:
 
 
 def read_synthetic_config(path) -> SyntheticConfig:
-    parser = read_ini(path, "config", "synthetic")
+    parser = read_ini(path, "recipe", "synthetic")
     return read_section(parser["synthetic"], "synthetic", SyntheticConfig)

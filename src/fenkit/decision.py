@@ -17,21 +17,20 @@ class DecisionModel:
     std: np.ndarray
     norm_order: int
     limit: float
-    confidence: float
 
     def __post_init__(self):
         mean = np.array(self.mean, dtype=np.float64)
         std = np.array(self.std, dtype=np.float64)
         if mean.ndim != 1 or mean.shape != std.shape:
             raise ValueError("mean and std must be matching vectors")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("mean and std must be finite")
         if np.any(std < EPS_STD):
             raise ValueError(f"std entries must be >= {EPS_STD}")
         if self.norm_order < 1:
             raise ValueError("norm_order must be at least 1")
-        if self.limit < 0:
-            raise ValueError("limit must be non-negative")
-        if not (0.0 < self.confidence < 1.0):
-            raise ValueError("confidence must lie in (0, 1)")
+        if not (0.0 <= self.limit < np.inf):
+            raise ValueError("limit must be finite and non-negative")
         freeze_arrays(self, mean=mean, std=std)
 
     @property
@@ -59,13 +58,14 @@ def fit_decision(train_codes: np.ndarray, confidence: float = 0.99,
     codes = np.asarray(train_codes, dtype=np.float64)
     if codes.ndim != 2 or codes.shape[0] < 2:
         raise ValueError("fitting needs a matrix of at least 2 code rows")
+    if not (0.0 < confidence < 1.0):
+        raise ValueError("confidence must lie in (0, 1)")
     mean = codes.mean(axis=0)
     std = column_std(codes)
-    probe = DecisionModel(mean, std, norm_order, limit=0.0, confidence=confidence)
+    probe = DecisionModel(mean, std, norm_order, limit=0.0)
     train_d = detection_index(probe, codes)
     limit = empirical_quantile(train_d, confidence)
-    return DecisionModel(mean, std, norm_order, limit=float(limit),
-                         confidence=confidence)
+    return DecisionModel(mean, std, norm_order, limit=float(limit))
 
 
 def alarms(model: DecisionModel, index_values: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .numerics import (
     covariance,
     empirical_quantile,
     freeze_arrays,
+    principal_subspace,
     retained_count,
     sym_eig,
 )
@@ -38,18 +39,16 @@ class PcaDetector:
     projection: np.ndarray
     retained_eigenvalues: np.ndarray
     scaler: ScalerStats
-    t: int
     lags: int = 0
 
     def __post_init__(self):
         projection = np.array(self.projection, dtype=np.float64)
         eigenvalues = np.array(self.retained_eigenvalues, dtype=np.float64)
-        if projection.ndim != 2 or projection.shape[1] != self.t:
-            raise ValueError(f"projection shape {projection.shape} does not match t={self.t}")
-        if eigenvalues.shape != (self.t,):
-            raise ValueError("retained_eigenvalues length must equal t")
+        if projection.ndim != 2 or eigenvalues.shape != (projection.shape[1],):
+            raise ValueError(f"projection shape {projection.shape} does not match "
+                             f"{eigenvalues.shape} retained eigenvalues")
         gram = projection.T @ projection
-        if np.max(np.abs(gram - np.eye(self.t))) > 1e-8:
+        if np.max(np.abs(gram - np.eye(projection.shape[1]))) > 1e-8:
             raise ValueError("projection columns must be orthonormal within 1e-8")
         if np.any(eigenvalues <= 0) or np.any(np.diff(eigenvalues) > 0):
             raise ValueError("eigenvalues must be positive and descending")
@@ -74,8 +73,8 @@ class MdDetector:
             raise ValueError(f"variant must be one of {MD_VARIANTS}, got {self.variant!r}")
         mean = np.array(self.mean, dtype=np.float64)
         inverse = np.array(self.inverse_covariance, dtype=np.float64)
-        if inverse.shape != (mean.shape[0], mean.shape[0]):
-            raise ValueError("inverse_covariance shape must match mean length")
+        if mean.ndim != 1 or inverse.shape != (mean.shape[0], mean.shape[0]):
+            raise ValueError("inverse_covariance must be square in the mean's length")
         if np.max(np.abs(inverse - inverse.T)) > 1e-9:
             raise ValueError("inverse_covariance must be symmetric within 1e-9")
         if self.variant == "MD2":
@@ -136,38 +135,22 @@ class DetectorBankConfig:
 class DetectorBank:
     """Fitted detectors in a fixed order with one name per feature."""
 
-    detectors: tuple[PcaDetector | MdDetector | KpcaDetector, ...]
+    detectors: tuple[PcaDetector | MdDetector, ...]
     feature_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        total = sum(len(feature_names(det)) for det in self.detectors)
+        # A PCA detector scores T2 and Q, an MD detector one distance.
+        total = sum(2 if isinstance(det, PcaDetector) else 1 for det in self.detectors)
         if total != len(self.feature_names):
             raise ValueError(
                 f"{total} detector features but {len(self.feature_names)} names"
             )
 
-    @property
-    def k(self) -> int:
-        return len(self.feature_names)
-
 
 def _standardized(values: np.ndarray, scaler: ScalerStats) -> np.ndarray:
     return (values - scaler.mean) / scaler.std
-
-
-def _principal_subspace(standardized: np.ndarray, variance_fraction: float):
-    """Loadings and eigenvalues spanning the requested variance fraction.
-
-    Components below a relative rank floor never enter, so a fraction of
-    1.0 retains exactly the covariance rank.
-    """
-    eig = sym_eig(covariance(standardized))
-    if eig.eigenvalues[0] <= 0.0:
-        raise ValueError("degenerate covariance: training data has no variance")
-    t = retained_count(eig.eigenvalues, variance_fraction)
-    return eig.eigenvectors[:, :t], eig.eigenvalues[:t]
 
 
 def _augment_lags(values: np.ndarray, lags: int) -> np.ndarray:
@@ -210,11 +193,6 @@ def fit_pca_detector(train: ProcessDataset, variance_fraction: float = 0.9) -> P
     return fit_dpca_detector(train, 0, variance_fraction)
 
 
-def score_pca(model: PcaDetector, values: np.ndarray) -> tuple:
-    """(T2, Q) per sample row; see score_dpca."""
-    return score_dpca(model, values)
-
-
 def fit_dpca_detector(train: ProcessDataset, lags: int = 2,
                       variance_fraction: float = 0.9) -> PcaDetector:
     """PCA over lag-augmented sample vectors, retaining the smallest
@@ -224,9 +202,9 @@ def fit_dpca_detector(train: ProcessDataset, lags: int = 2,
     if augmented.shape[0] < 2:
         raise ValueError("not enough rows after lag augmentation")
     scaler = ScalerStats(augmented.mean(axis=0), column_std(augmented))
-    projection, eigenvalues = _principal_subspace(
+    projection, eigenvalues = principal_subspace(
         _standardized(augmented, scaler), variance_fraction)
-    return PcaDetector(projection, eigenvalues, scaler, t=projection.shape[1], lags=lags)
+    return PcaDetector(projection, eigenvalues, scaler, lags=lags)
 
 
 def score_dpca(model: PcaDetector, values: np.ndarray) -> tuple:
@@ -252,7 +230,7 @@ def fit_md_detector(train: ProcessDataset, variant: str,
     if variant == "MD1":
         space = standardized
     elif variant == "MD2":
-        projection, _ = _principal_subspace(standardized, md2_variance_fraction)
+        projection, _ = principal_subspace(standardized, md2_variance_fraction)
         space = standardized @ projection
     else:
         space = _augment_lags(standardized, 1)
@@ -361,17 +339,6 @@ def input_width(detector) -> int:
     dynamic PCA detector is fitted on lags + 1 of them per row."""
     width = detector.scaler.mean.shape[0]
     return width // (detector.lags + 1) if isinstance(detector, PcaDetector) else width
-
-
-def feature_names(detector) -> tuple:
-    if isinstance(detector, PcaDetector):
-        prefix = "dpca" if detector.lags > 0 else "pca"
-        return (f"{prefix}_t2", f"{prefix}_q")
-    if isinstance(detector, MdDetector):
-        return (detector.variant.lower(),)
-    if isinstance(detector, KpcaDetector):
-        return (f"kpca_{detector.kernel}_t2",)
-    raise TypeError(f"not a detector: {type(detector).__name__}")
 
 
 def detector_features(detector, values: np.ndarray) -> np.ndarray:

@@ -52,12 +52,3 @@ def build_feature_matrix(bank: DetectorBank, data: ProcessDataset) -> FeatureMat
     return FeatureMatrix(np.hstack(columns), layer=0,
                          feature_names=bank.feature_names, sample_offset=0)
 
-
-def write_feature_matrix(features: FeatureMatrix, path) -> None:
-    """Debug dump: header of feature names, one row per sample."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(features.feature_names))
-        handle.write("\n")
-        for row in features.values:
-            handle.write(",".join(repr(float(v)) for v in row))
-            handle.write("\n")

@@ -32,6 +32,7 @@ from .detectors import (
     fit_kpca_detector,
 )
 from .pipeline import (
+    CONFIG_SECTIONS,
     PipelineConfig,
     encode,
     pipeline_config_from_parser,
@@ -171,8 +172,8 @@ def resolve_scenario(spec: ScenarioSpec) -> tuple:
     if spec.synthetic is not None:
         full = generate_synthetic(spec.synthetic)
         return full.split(spec.synthetic.n_train)
-    train = load_csv(spec.train_path, name=f"{spec.name}/train")
-    test = load_csv(spec.test_path, name=f"{spec.name}/test")
+    train = load_csv(spec.train_path)
+    test = load_csv(spec.test_path)
     if spec.onset is not None:
         test = attach_onset_labels(test, spec.onset)
     return train, test
@@ -360,7 +361,7 @@ def read_report_csv(path) -> ExperimentReport:
 def read_grid(path) -> ExperimentGrid:
     """Grid file: a [grid] section (methods, depths), optional pipeline
     sections, and one [scenario:<name>] section per dataset."""
-    parser = read_ini(path, "grid", "grid")
+    parser = read_ini(path, "grid", "grid", optional=(*CONFIG_SECTIONS, "scenario:"))
     scenarios = []
     for section_name in parser.sections():
         if not section_name.startswith("scenario:"):

@@ -97,6 +97,17 @@ def retained_count(eigenvalues: np.ndarray, variance_fraction: float) -> int:
     return rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
 
 
+def principal_subspace(data: np.ndarray, variance_fraction: float) -> tuple:
+    """(loadings, eigenvalues) of the sample covariance spanning the
+    requested variance fraction (see retained_count); ValueError when no
+    column varies."""
+    eig = sym_eig(covariance(data))
+    if eig.eigenvalues[0] <= 0.0:
+        raise ValueError("degenerate input: all columns are constant")
+    t = retained_count(eig.eigenvalues, variance_fraction)
+    return eig.eigenvectors[:, :t], eig.eigenvalues[:t]
+
+
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """Descending singular values of a tall matrix (rows >= columns).
 

@@ -23,7 +23,6 @@ from .decision import DecisionModel, alarms, detection_index, fit_decision
 from .detectors import (
     DetectorBank,
     DetectorBankConfig,
-    KpcaDetector,
     MdDetector,
     PcaDetector,
     fit_detector_bank,
@@ -41,7 +40,7 @@ from .transform import (
 )
 
 MAGIC = b"FENETAE1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 DEFAULT_LAYER_TEMPLATE = LayerConfig(window_width=150, subset_size=5)
 
@@ -111,7 +110,6 @@ class FenetModel:
     layers: tuple[TransformLayer, ...]
     decision: DecisionModel
     config: PipelineConfig
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -230,9 +228,8 @@ def detect(model: FenetModel, test: ProcessDataset) -> DetectionResult:
 # The only types a model file can build.
 _CODEC_TYPES = {cls.__name__: cls for cls in (
     FenetModel, PipelineConfig, DetectorBankConfig, LayerConfig, Variant,
-    TrainConfig, DetectorBank, PcaDetector, MdDetector, KpcaDetector,
-    ScalerStats, TransformLayer, PcaReduction, Autoencoder, Layer,
-    DecisionModel,
+    TrainConfig, DetectorBank, PcaDetector, MdDetector, ScalerStats,
+    TransformLayer, PcaReduction, Autoencoder, Layer, DecisionModel,
 )}
 
 
@@ -259,8 +256,8 @@ def encode(value, blob: bytearray | None = None):
 
 def _decode_array(node: dict, blob: bytes) -> np.ndarray:
     shape, offset = node.get("shape"), node.get("offset")
-    if (not isinstance(shape, list) or not isinstance(offset, int) or offset < 0
-            or not all(isinstance(n, int) and n >= 0 for n in shape)):
+    if (not isinstance(shape, list) or type(offset) is not int or offset < 0
+            or not all(type(n) is int and n >= 0 for n in shape)):
         raise ValueError("malformed array reference")
     count = math.prod(shape)
     if offset + 8 * count > len(blob):
@@ -270,15 +267,17 @@ def _decode_array(node: dict, blob: bytes) -> np.ndarray:
 
 
 def _typed(value, annotation):
-    """A decoded value as its field's declared type; TypeError if it does
-    not fit.  A field set to 1 or 5.0 in code (beta=1, master_seed=5.0) is
-    saved as written, so a float field takes any JSON number and an int
-    field an integral one, loaded as int; a boolean fits neither."""
+    """A decoded value as its field's declared type; TypeError (or
+    OverflowError past the float range) if it does not fit.  A field set to
+    1 or 5.0 in code (beta=1, master_seed=5.0) is saved as written, so a
+    float field takes any JSON number and an int field an integral one,
+    loaded as int; a boolean fits neither."""
     if annotation in (int, float):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
+            number = float(value)
             if annotation is float:
                 return value
-            if float(value).is_integer():
+            if number.is_integer():
                 return int(value)
     elif get_origin(annotation) is tuple:
         if isinstance(value, tuple):
@@ -311,7 +310,7 @@ def _decode(node, blob: bytes):
         if f.name in values:
             try:
                 values[f.name] = _typed(values[f.name], f.type)
-            except TypeError:
+            except (TypeError, OverflowError):
                 raise ValueError(f"field {f.name!r} of {kind} holds "
                                  f"{type(values[f.name]).__name__}") from None
     try:
@@ -355,6 +354,8 @@ def load(path) -> FenetModel:
     try:
         header = json.loads(body[header_start:header_end].decode("utf-8"))
         model = _decode(header, body[header_end:])
+    except RecursionError:
+        raise ValueError(f"{path}: malformed model header: nested too deeply") from None
     except ValueError as error:
         raise ValueError(f"{path}: malformed model header: {error}") from error
     if not isinstance(model, FenetModel):
@@ -369,6 +370,7 @@ _INI_FIELDS = {section: {f.name: f.name for f in fields(cls) if f.name not in (
     for section, cls in (("pipeline", PipelineConfig), ("detectors", DetectorBankConfig),
                          ("layer", LayerConfig), ("training", TrainConfig))}
 _VARIANT_FIELDS = {"variant": "kind", "sparse_rho": "rho", "sparse_beta": "beta"}
+CONFIG_SECTIONS = tuple(_INI_FIELDS)
 
 
 def write_pipeline_config(config: PipelineConfig, path) -> None:
@@ -393,7 +395,7 @@ def write_pipeline_config(config: PipelineConfig, path) -> None:
 
 
 def read_pipeline_config(path) -> PipelineConfig:
-    return pipeline_config_from_parser(read_ini(path, "config", *_INI_FIELDS))
+    return pipeline_config_from_parser(read_ini(path, "config", *CONFIG_SECTIONS))
 
 
 def pipeline_config_from_parser(parser: configparser.ConfigParser) -> PipelineConfig:

@@ -29,11 +29,9 @@ from .ensemble import FeatureMatrix
 from .numerics import (
     EPS_STD,
     column_std,
-    covariance,
     freeze_arrays,
-    retained_count,
+    principal_subspace,
     singular_values,
-    sym_eig,
 )
 
 
@@ -195,11 +193,8 @@ def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] < 2:
         raise ValueError("PCA reduction needs at least 2 rows")
-    eig = sym_eig(covariance(values))
-    if eig.eigenvalues[0] <= 0.0:
-        raise ValueError("degenerate input: all columns are constant")
-    t = retained_count(eig.eigenvalues, variance_fraction)
-    reduction = PcaReduction(values.mean(axis=0), eig.eigenvectors[:, :t])
+    projection, _ = principal_subspace(values, variance_fraction)
+    reduction = PcaReduction(values.mean(axis=0), projection)
     return reduction, (values - reduction.mean) @ reduction.projection
 
 

@@ -6,9 +6,7 @@ import pytest
 
 from fenkit.datasets import (
     ProcessDataset,
-    ScalerStats,
     SyntheticConfig,
-    apply_standardize,
     attach_onset_labels,
     fit_standardize,
     generate_synthetic,
@@ -17,6 +15,7 @@ from fenkit.datasets import (
     write_csv,
     write_sidecar,
 )
+from fenkit.detectors import _standardized
 
 
 def _dataset(values):
@@ -113,27 +112,22 @@ class TestStandardize:
         rng = np.random.default_rng(1)
         ds = _dataset(rng.standard_normal((200, 5)) * [1, 2, 3, 4, 5] + 10)
         stats = fit_standardize(ds)
-        out = apply_standardize(ds, stats)
-        np.testing.assert_allclose(out.values.mean(axis=0), 0, atol=1e-12)
-        np.testing.assert_allclose(out.values.std(axis=0, ddof=1), 1, rtol=1e-12)
+        out = _standardized(ds.values, stats)
+        np.testing.assert_allclose(out.mean(axis=0), 0, atol=1e-12)
+        np.testing.assert_allclose(out.std(axis=0, ddof=1), 1, rtol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
         ds = _dataset(np.column_stack([np.arange(5.0), np.full(5, 7.0)]))
         stats = fit_standardize(ds)
-        out = apply_standardize(ds, stats)
-        np.testing.assert_array_equal(out.values[:, 1], 0.0)
+        out = _standardized(ds.values, stats)
+        np.testing.assert_array_equal(out[:, 1], 0.0)
 
     def test_test_phase_uses_train_stats(self):
         train = _dataset([[0.0], [2.0]])
         test = _dataset([[4.0]])
-        out = apply_standardize(test, fit_standardize(train))
+        out = _standardized(test.values, fit_standardize(train))
         expected = (4.0 - 1.0) / np.std([0.0, 2.0], ddof=1)
-        np.testing.assert_allclose(out.values, [[expected]])
-
-    def test_column_mismatch(self):
-        stats = ScalerStats(np.zeros(3), np.ones(3))
-        with pytest.raises(ValueError):
-            apply_standardize(_dataset([[1.0, 2.0]]), stats)
+        np.testing.assert_allclose(out, [[expected]])
 
 
 class TestSyntheticConfig:
@@ -165,6 +159,14 @@ class TestSyntheticConfig:
         path.write_text("[synthetic]\nn_variables = 3\nn_train = 20\nn_test = 10\n"
                         "fault_typ = step\nfault_channels = 1\n")
         with pytest.raises(ValueError, match="unknown key 'fault_typ'"):
+            read_synthetic_config(path)
+
+    def test_recipe_unknown_section_rejected(self, tmp_path):
+        """A recipe holds only the [synthetic] section."""
+        path = tmp_path / "recipe.ini"
+        path.write_text("[synthetic]\nn_variables = 3\nn_train = 20\nn_test = 10\n"
+                        "[fault]\nfault_type = step\n")
+        with pytest.raises(ValueError, match=r"unknown section \[fault\]"):
             read_synthetic_config(path)
 
     def test_recipe_missing_required_key(self, tmp_path):

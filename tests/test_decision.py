@@ -43,13 +43,23 @@ class TestFitDecision:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.ones(3), 0, 1.0, 0.99)
+            DecisionModel(np.zeros(3), np.ones(3), 0, 1.0)
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.ones(3), 1, -1.0, 0.99)
+            DecisionModel(np.zeros(3), np.ones(3), 1, -1.0)
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.ones(3), 1, 1.0, 1.0)
+            fit_decision(gaussian_codes(0), confidence=1.0)
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.zeros(3), 1, 1.0, 0.99)
+            DecisionModel(np.zeros(3), np.zeros(3), 1, 1.0)
+
+    @pytest.mark.parametrize("field", ["limit", "mean", "std"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_state_rejected(self, field, value):
+        """A NaN limit would never alarm, and a NaN or infinite mean or
+        std makes every index NaN or zero; none of them is a model."""
+        state = {"mean": np.zeros(3), "std": np.ones(3), "limit": 1.0}
+        state[field] = np.full(3, value) if field != "limit" else value
+        with pytest.raises(ValueError, match="finite"):
+            DecisionModel(state["mean"], state["std"], 1, state["limit"])
 
 
 class TestDetectionIndex:
@@ -85,7 +95,7 @@ class TestDetectionIndex:
         model = fit_decision(gaussian_codes(8))
         shift = np.arange(6.0)
         shifted = DecisionModel(model.mean + shift, model.std, model.norm_order,
-                                model.limit, model.confidence)
+                                model.limit)
         rng = np.random.default_rng(9)
         codes = rng.standard_normal((20, 6))
         np.testing.assert_allclose(detection_index(shifted, codes + shift),
@@ -121,7 +131,7 @@ class TestDetectionIndex:
 
 class TestAlarms:
     def make_model(self, limit):
-        return DecisionModel(np.zeros(2), np.ones(2), 1, limit, 0.99)
+        return DecisionModel(np.zeros(2), np.ones(2), 1, limit)
 
     def test_all_below_limit(self):
         model = self.make_model(10.0)

@@ -14,7 +14,6 @@ from fenkit.detectors import (
     PcaDetector,
     detector_control_limit,
     detector_features,
-    feature_names,
     fit_detector_bank,
     fit_dpca_detector,
     fit_kpca_detector,
@@ -25,7 +24,6 @@ from fenkit.detectors import (
     score_dpca,
     score_kpca,
     score_md,
-    score_pca,
 )
 
 
@@ -48,7 +46,7 @@ class TestFitPca:
         data = as_dataset(np.column_stack([factor, factor, factor])
                           + 1e-3 * rng.standard_normal((500, 3)))
         model = fit_pca_detector(data, variance_fraction=0.9)
-        assert model.t == 1
+        assert model.projection.shape[1] == 1
 
     def test_full_fraction_keeps_rank(self):
         rng = np.random.default_rng(1)
@@ -56,7 +54,7 @@ class TestFitPca:
         b = rng.standard_normal(300)
         data = as_dataset(np.column_stack([a, b, a + b]))
         model = fit_pca_detector(data, variance_fraction=1.0)
-        assert model.t == 2
+        assert model.projection.shape[1] == 2
 
     def test_three_factor_data_keeps_three(self):
         rng = np.random.default_rng(2)
@@ -65,7 +63,7 @@ class TestFitPca:
                                    factors[:, 1], factors[:, 2], factors[:, 2]])
         data = as_dataset(columns + 1e-3 * rng.standard_normal((600, 6)))
         model = fit_pca_detector(data, variance_fraction=0.95)
-        assert model.t == 3
+        assert model.projection.shape[1] == 3
 
     def test_constant_data_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
@@ -80,13 +78,13 @@ class TestFitPca:
     def test_projection_orthonormal(self):
         model = fit_pca_detector(correlated_data(4))
         gram = model.projection.T @ model.projection
-        np.testing.assert_allclose(gram, np.eye(model.t), atol=1e-10)
+        np.testing.assert_allclose(gram, np.eye(model.projection.shape[1]), atol=1e-10)
 
 
 class TestScorePca:
     def test_training_mean_scores_zero(self):
         model = fit_pca_detector(correlated_data(5))
-        (t2,), (q,) = score_pca(model, model.scaler.mean[None, :])
+        (t2,), (q,) = score_dpca(model, model.scaler.mean[None, :])
         assert t2 == pytest.approx(0.0, abs=1e-20)
         assert q == pytest.approx(0.0, abs=1e-20)
 
@@ -95,7 +93,7 @@ class TestScorePca:
         v1 = model.projection[:, 0]
         lam1 = model.retained_eigenvalues[0]
         x = model.scaler.mean + v1 * np.sqrt(lam1) * model.scaler.std
-        (t2,), (q,) = score_pca(model, x[None, :])
+        (t2,), (q,) = score_dpca(model, x[None, :])
         assert t2 == pytest.approx(1.0, rel=1e-10)
         assert q == pytest.approx(0.0, abs=1e-16)
 
@@ -108,33 +106,33 @@ class TestScorePca:
             p, lam = model.projection, model.retained_eigenvalues
             expected_t2 = x_std @ p @ np.diag(1.0 / lam) @ p.T @ x_std
             expected_q = np.sum((x_std - p @ (p.T @ x_std)) ** 2)
-            (t2,), (q,) = score_pca(model, x[None, :])
+            (t2,), (q,) = score_dpca(model, x[None, :])
             np.testing.assert_allclose(t2, expected_t2, rtol=1e-8)
             np.testing.assert_allclose(q, expected_q, rtol=1e-8, atol=1e-12)
 
     def test_matrix_input_matches_per_row(self):
         model = fit_pca_detector(correlated_data(9))
         batch = np.random.default_rng(10).standard_normal((6, 5))
-        t2s, qs = score_pca(model, batch)
+        t2s, qs = score_dpca(model, batch)
         for i in range(6):
-            (t2,), (q,) = score_pca(model, batch[i:i + 1])
+            (t2,), (q,) = score_dpca(model, batch[i:i + 1])
             np.testing.assert_allclose(t2s[i], t2, rtol=1e-12)
             np.testing.assert_allclose(qs[i], q, rtol=1e-12)
 
     def test_scores_non_negative(self):
         model = fit_pca_detector(correlated_data(11))
-        t2, q = score_pca(model, np.random.default_rng(12).standard_normal((100, 5)))
+        t2, q = score_dpca(model, np.random.default_rng(12).standard_normal((100, 5)))
         assert np.all(t2 >= 0) and np.all(q >= 0)
         assert np.all(np.isfinite(t2)) and np.all(np.isfinite(q))
 
     def test_dimension_mismatch(self):
         model = fit_pca_detector(correlated_data(13))
         with pytest.raises(ValueError, match="variables"):
-            score_pca(model, np.zeros((1, 4)))
+            score_dpca(model, np.zeros((1, 4)))
 
     def test_empty_matrix_scores_empty(self):
         model = fit_pca_detector(correlated_data(13))
-        t2, q = score_pca(model, np.zeros((0, 5)))
+        t2, q = score_dpca(model, np.zeros((0, 5)))
         assert t2.shape == (0,) and q.shape == (0,)
 
 
@@ -143,7 +141,7 @@ class TestDpca:
         data = correlated_data(14)
         plain = fit_pca_detector(data, variance_fraction=0.9)
         dynamic = fit_dpca_detector(data, lags=0, variance_fraction=0.9)
-        t2_p, q_p = score_pca(plain, data.values)
+        t2_p, q_p = score_dpca(plain, data.values)
         t2_d, q_d = score_dpca(dynamic, data.values)
         np.testing.assert_allclose(t2_d, t2_p, rtol=1e-10)
         np.testing.assert_allclose(q_d, q_p, rtol=1e-10, atol=1e-12)
@@ -281,7 +279,7 @@ class TestKpca:
         pca = fit_pca_detector(data, variance_fraction=0.95)
         samples = np.random.default_rng(31).standard_normal((50, 5))
         t2_k = score_kpca(kpca, samples)
-        t2_p, _ = score_pca(pca, samples)
+        t2_p, _ = score_dpca(pca, samples)
         np.testing.assert_array_equal(np.argsort(t2_k), np.argsort(t2_p))
 
     def test_rbf_infinite_bandwidth_centers_to_zero(self):
@@ -341,7 +339,7 @@ class TestKpca:
 class TestBank:
     def test_default_bank_has_seven_features(self):
         bank = fit_detector_bank(correlated_data(38))
-        assert bank.k == 7
+        assert len(bank.feature_names) == 7
         assert bank.feature_names == ("pca_t2", "pca_q", "dpca_t2", "dpca_q",
                                       "md1", "md2", "md3")
 
@@ -353,8 +351,16 @@ class TestBank:
                                       "md1", "md2", "md3")
 
     def test_feature_counts_sum(self):
+        data = correlated_data(39)
+        bank = fit_detector_bank(data)
+        assert sum(detector_features(d, data.values).shape[1]
+                   for d in bank.detectors) == len(bank.feature_names)
+
+    def test_name_count_must_match_columns(self):
+        """Two columns per PCA detector, one per MD detector."""
         bank = fit_detector_bank(correlated_data(39))
-        assert sum(len(feature_names(d)) for d in bank.detectors) == bank.k
+        with pytest.raises(ValueError, match="7 detector features but 6 names"):
+            DetectorBank(bank.detectors, bank.feature_names[:-1])
 
     def test_bank_determinism(self):
         data = correlated_data(40)
@@ -368,7 +374,7 @@ class TestBank:
     def test_single_member_bank(self):
         data = correlated_data(42)
         bank = fit_detector_bank(data, DetectorBankConfig(members=("md1",)))
-        assert bank.k == 1
+        assert len(bank.feature_names) == 1
         assert bank.feature_names == ("md1",)
 
     def test_config_validation(self):
@@ -386,7 +392,7 @@ class TestBank:
                                                 n_test=100, seed=43))
         train, _ = ds.split(500)
         bank = fit_detector_bank(train)
-        assert bank.k == 7
+        assert len(bank.feature_names) == 7
 
     def test_md2_fraction_reaches_the_detector(self):
         """The configured MD2 variance fraction controls the retained
@@ -419,8 +425,8 @@ class TestControlLimit:
         all_values = all_values + noise
         train = as_dataset(all_values[:4000])
         model = fit_pca_detector(train)
-        t2_train, _ = score_pca(model, train.values)
+        t2_train, _ = score_dpca(model, train.values)
         limit = detector_control_limit(t2_train, 0.99)
-        t2_test, _ = score_pca(model, all_values[4000:])
+        t2_test, _ = score_dpca(model, all_values[4000:])
         far = np.mean(t2_test > limit)
         assert abs(far - 0.01) <= 0.015

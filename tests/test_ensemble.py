@@ -10,7 +10,7 @@ from fenkit.detectors import (
     detector_features,
     fit_detector_bank,
 )
-from fenkit.ensemble import FeatureMatrix, build_feature_matrix, write_feature_matrix
+from fenkit.ensemble import FeatureMatrix, build_feature_matrix
 
 
 def make_data(seed, n=300, m=5):
@@ -85,15 +85,3 @@ class TestBuildFeatureMatrix:
         bank = fit_detector_bank(make_data(4, m=5))
         with pytest.raises(ValueError):
             build_feature_matrix(bank, make_data(5, m=4))
-
-    def test_dump_round_trip(self, tmp_path):
-        data = make_data(6, n=50)
-        bank = fit_detector_bank(data)
-        features = build_feature_matrix(bank, data)
-        path = tmp_path / "features.csv"
-        write_feature_matrix(features, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == ",".join(features.feature_names)
-        reloaded = np.array([[float(tok) for tok in line.split(",")]
-                             for line in lines[1:]])
-        np.testing.assert_array_equal(reloaded, features.values)

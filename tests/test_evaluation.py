@@ -446,6 +446,16 @@ seed = 21
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             read_grid(path)
 
+    @pytest.mark.parametrize("section", ["trainig", "synthetic", "scenario"])
+    def test_unknown_section_rejected(self, tmp_path, section):
+        """[trainig] epochs = 5 used to be skipped, training the default
+        2000 epochs; a grid file holds the pipeline sections, [grid] and
+        [scenario:<name>] sections only."""
+        path = tmp_path / "grid.ini"
+        path.write_text(self.GRID_TEXT + f"\n[{section}]\nepochs = 5\n")
+        with pytest.raises(ValueError, match=f"unknown section \\[{section}\\]"):
+            read_grid(path)
+
     def test_file_scenario_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "grid.ini"
         path.write_text("[grid]\nmethods = md1\n\n[scenario:real]\n"

@@ -242,7 +242,7 @@ def model_header(bank='{"type": "DetectorBank", "detectors": [], "feature_names"
     """Header of a FenetModel with an empty bank and decision, so it
     needs no data block."""
     decision = ('{"type": "DecisionModel", "mean": %s, "std": %s, "norm_order": 1, '
-                '"limit": 0.0, "confidence": 0.99}' % (EMPTY_ARRAY, EMPTY_ARRAY))
+                '"limit": 0.0}' % (EMPTY_ARRAY, EMPTY_ARRAY))
     return ('{"type": "FenetModel", "bank": %s, "layers": %s, "decision": %s, '
             '"config": %s}' % (bank, layers, decision, config))
 
@@ -300,7 +300,6 @@ class TestModelFile:
             resolve_layer_configs(fitted.config))
         assert restored.config.bank == fitted.config.bank
         assert restored.config.master_seed == fitted.config.master_seed
-        assert restored.format_version == FORMAT_VERSION
 
     def test_corrupt_byte_rejected(self, fitted, tmp_path):
         path = tmp_path / "model.fenet"
@@ -343,19 +342,20 @@ class TestModelFile:
         struct.pack_into("<I", body, len(MAGIC), FORMAT_VERSION + 1)
         tampered = bytes(body)
         path.write_bytes(tampered + hashlib.sha256(tampered).digest())
-        with pytest.raises(ValueError, match="version 2"):
+        with pytest.raises(ValueError, match=f"version {FORMAT_VERSION + 1}"):
             load(path)
 
     def test_old_version_asks_for_refit(self, fitted, tmp_path):
-        """Version-1 files are not read; the message names the version
-        and says to refit."""
+        """Version-1 and version-2 files are not read; the message names
+        the version and says to refit."""
         path = tmp_path / "model.fenet"
         save(fitted, path)
-        body = bytearray(path.read_bytes()[:-32])
-        struct.pack_into("<I", body, len(MAGIC), 1)
-        path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
-        with pytest.raises(ValueError, match="version 1 .*refit"):
-            load(path)
+        for version in (1, 2):
+            body = bytearray(path.read_bytes()[:-32])
+            struct.pack_into("<I", body, len(MAGIC), version)
+            path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+            with pytest.raises(ValueError, match=f"version {version} .*refit"):
+                load(path)
 
     @pytest.mark.parametrize("header, extra_length, message", [
         pytest.param(model_header(bank="5"), 0, "'bank' of FenetModel holds int",
@@ -366,7 +366,7 @@ class TestModelFile:
             '{"type": "DetectorBank", "feature_names": ["pca_t2", "pca_q"], '
             '"detectors": [{"type": "PcaDetector", "projection": %s, '
             '"retained_eigenvalues": %s, "scaler": {"type": "ScalerStats", '
-            '"mean": %s, "std": %s}, "t": 1, "lags": 1.5}]}'
+            '"mean": %s, "std": %s}, "lags": 1.5}]}'
             % ((EMPTY_ARRAY,) * 4))), 0, "'lags' of PcaDetector holds float",
             id="lags-not-an-int"),
         pytest.param(model_header(config='{"type": "PipelineConfig", "norm_order": true}'),
@@ -389,6 +389,29 @@ class TestModelFile:
         pytest.param('{"type": "ScalerStats", "mean": {"type": "ndarray", '
                      '"shape": [4], "offset": 0}, "std": []}', 0,
                      "past the data block", id="array-past-data"),
+        pytest.param(model_header().replace('"limit": 0.0', '"limit": 0.0, "confidence": 0.99'),
+                     0, "unknown field 'confidence' in DecisionModel",
+                     id="v2-decision-confidence"),
+        pytest.param(model_header()[:-1] + ', "format_version": 2}', 0,
+                     "unknown field 'format_version' in FenetModel",
+                     id="v2-format-version"),
+        pytest.param(model_header(bank=(
+            '{"type": "DetectorBank", "feature_names": ["pca_t2", "pca_q"], '
+            '"detectors": [{"type": "PcaDetector", "projection": %s, '
+            '"retained_eigenvalues": %s, "scaler": {"type": "ScalerStats", '
+            '"mean": %s, "std": %s}, "t": 0, "lags": 0}]}'
+            % ((EMPTY_ARRAY,) * 4))), 0, "unknown field 't' in PcaDetector",
+            id="v2-pca-t"),
+        pytest.param(model_header(bank=(
+            '{"type": "DetectorBank", "feature_names": ["kpca_rbf_t2"], '
+            '"detectors": [{"type": "KpcaDetector"}]}')), 0,
+            "unknown type 'KpcaDetector'", id="kpca-in-bank"),
+        pytest.param(model_header().replace('"limit": 0.0', '"limit": NaN'), 0,
+                     "limit must be finite", id="nan-limit"),
+        pytest.param(model_header().replace('"limit": 0.0', '"limit": 1' + "0" * 400), 0,
+                     "'limit' of DecisionModel holds int", id="limit-past-float-range"),
+        pytest.param("[" * 5000 + "]" * 5000, 0, "nested too deeply",
+                     id="deep-nesting"),
     ])
     def test_malformed_header_rejected(self, tmp_path, header, extra_length,
                                        message):
@@ -458,6 +481,17 @@ class TestConfigFile:
         text = path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = 5\n")
         path.write_text(text)
         with pytest.raises(ValueError, match=f"\\[{section}\\]: unknown key '{key}'"):
+            read_pipeline_config(path)
+
+    @pytest.mark.parametrize("section", ["detector", "grid", "synthetic"])
+    def test_unknown_section_rejected(self, tmp_path, section):
+        """[detector] dpca_lags = 0 used to be skipped, leaving dpca_lags
+        at 2; a config file holds only the four pipeline sections."""
+        path = tmp_path / "pipeline.ini"
+        write_pipeline_config(PipelineConfig(), path)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(f"[{section}]\ndpca_lags = 0\n")
+        with pytest.raises(ValueError, match=f"unknown section \\[{section}\\]"):
             read_pipeline_config(path)
 
     def test_unreadable_value_names_key(self, tmp_path):

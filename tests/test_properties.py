@@ -1,14 +1,22 @@
-"""Property tests for fenkit's text files: generated configs, recipes and
-report cells survive a write/read round trip, and any unknown key in any
-section is rejected by name."""
+"""Property tests for fenkit's files: generated configs, recipes and
+report cells survive a write/read round trip, any unknown key in any
+section is rejected by name, a checksum-valid model file with a mutated
+header loads or raises ValueError, and a CSV export with malformed rows
+loads or raises ValueError naming a line."""
 
 import configparser
+import copy
+import functools
+import hashlib
+import json
 import re
 import string
+import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +25,8 @@ from fenkit.autoencoder import VARIANT_KINDS, TrainConfig, Variant
 from fenkit.datasets import (
     FAULT_TYPES,
     SyntheticConfig,
+    generate_synthetic,
+    load_csv,
     read_synthetic_config,
     write_sidecar,
 )
@@ -29,9 +39,15 @@ from fenkit.evaluation import (
     write_report,
 )
 from fenkit.pipeline import (
+    FORMAT_VERSION,
+    MAGIC,
+    FenetModel,
     PipelineConfig,
+    fit,
+    load,
     read_pipeline_config,
     resolve_layer_configs,
+    save,
     write_pipeline_config,
 )
 from fenkit.transform import LayerConfig
@@ -218,3 +234,142 @@ class TestUnknownKeys:
             with open(path, "a", encoding="utf-8") as handle:
                 handle.write(f"{key} = 1\n")
             _rejected(read_synthetic_config, path, "synthetic", key)
+
+
+@functools.cache
+def _tiny_model_file() -> tuple:
+    """(header, data block) of a one-layer model fitted on 120 rows."""
+    train, _ = generate_synthetic(SyntheticConfig(4, 120, 10, seed=5)).split(120)
+    template = LayerConfig(window_width=12, subset_size=2, max_subsets=3, code_dim=2,
+                           training=TrainConfig(epochs=3), hidden_dims=(4,))
+    model = fit(train, PipelineConfig(l_max=1, layer_template=template))
+    with tempfile.TemporaryDirectory() as root:
+        save(model, Path(root) / "model.fenet")
+        body = (Path(root) / "model.fenet").read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<Q", body, len(MAGIC) + 4)
+    start = len(MAGIC) + 12
+    return json.loads(body[start:start + header_len]), body[start + header_len:]
+
+
+def _containers(node):
+    """Every object and array in a decoded header, the root first."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from _containers(child)
+
+
+def _json_values(header):
+    """Any JSON value, NaN and infinities included (Python's json reads
+    them), or a well-formed piece of the header moved to where it does not
+    belong."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    return st.recursive(
+        scalars, lambda inner: (st.lists(inner, max_size=3)
+                                | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+        max_leaves=6) | st.sampled_from(list(_containers(header))).map(copy.deepcopy)
+
+
+class TestModelHeader:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_mutated_header_loads_or_raises_value_error(self, data):
+        """Drop a field, add one, replace a value or rename a type anywhere
+        in a fitted model's header, re-checksum the file: it loads as a
+        model or raises ValueError."""
+        original, blob = _tiny_model_file()
+        header = copy.deepcopy(original)
+        values = _json_values(original)
+        node = data.draw(st.sampled_from(list(_containers(header))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = data.draw(st.sampled_from(("drop", "add", "replace", "rename")))
+        if action == "add" or not keys:
+            value = data.draw(values)
+            if isinstance(node, dict):
+                node[data.draw(st.text(max_size=8))] = value
+            else:
+                node.append(value)
+        elif action == "drop":
+            del node[data.draw(st.sampled_from(keys))]
+        elif action == "replace" or isinstance(node, list):
+            node[data.draw(st.sampled_from(keys))] = data.draw(values)
+        else:
+            type_names = sorted({n["type"] for n in _containers(original)
+                                 if isinstance(n, dict)})
+            node["type"] = data.draw(st.sampled_from(type_names) | st.text(max_size=8))
+        header_bytes = json.dumps(header).encode("utf-8")
+        body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes))
+                + header_bytes + blob)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.fenet"
+            path.write_bytes(body + hashlib.sha256(body).digest())
+            try:
+                model = load(path)
+            except ValueError:
+                return
+        assert isinstance(model, FenetModel)
+
+
+def _finite(token: str) -> bool:
+    try:
+        return bool(np.isfinite(float(token)))
+    except ValueError:
+        return False
+
+
+def _first_malformed_line(lines) -> int | None:
+    """1-based number of the first non-blank line whose width differs from
+    the first non-blank line's or that holds a token other than a finite
+    number; None when every line is well formed."""
+    width = None
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        width = width or len(fields)
+        if len(fields) != width or not all(map(_finite, fields)):
+            return number
+    return None
+
+
+CSV_ROWS = st.lists(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3),
+                    min_size=1, max_size=6)
+CSV_EDITS = st.lists(st.tuples(
+    st.sampled_from(("ragged", "token", "non-finite", "blank", "stray-comma")),
+    st.integers(0, 11)), max_size=3)
+
+
+class TestCsvRows:
+    @SETTINGS
+    @given(CSV_ROWS, CSV_EDITS,
+           st.sampled_from(("x", "1.0.0", "", " ", "--1", "0x10", "1e")),
+           st.sampled_from(("nan", "inf", "-inf", "NaN", "1e999")))
+    def test_malformed_rows_name_their_line(self, rows, edits, token, non_finite):
+        """Ragged rows, non-numeric or non-finite tokens, blank lines and
+        stray commas: the file loads as written, or load_csv raises a
+        ValueError naming the first malformed line."""
+        lines = [",".join(repr(v) for v in row) for row in rows]
+        for kind, at in edits:
+            at %= len(lines)
+            fields = lines[at].split(",")
+            if kind == "blank":
+                lines.insert(at, " " * (at % 2))
+                continue
+            if kind == "ragged":
+                fields = fields[:-1] if at % 2 else fields + ["1.0"]
+            elif kind == "stray-comma":
+                fields = [""] + fields if at % 2 else fields + [""]
+            else:
+                fields[at % len(fields)] = token if kind == "token" else non_finite
+            lines[at] = ",".join(fields)
+        bad = _first_malformed_line(lines)
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "data.csv"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            if bad is None:
+                expected = [[float(t) for t in line.split(",")]
+                            for line in lines if line.strip()]
+                np.testing.assert_array_equal(load_csv(path).values, expected)
+            else:
+                with pytest.raises(ValueError, match=f"line {bad}[:,]"):
+                    load_csv(path)
