@@ -39,7 +39,8 @@ class DecisionModel:
 
 
 def detection_index(model: DecisionModel, code: np.ndarray) -> np.ndarray:
-    """p-norm of each standardized code row."""
+    """p-norm of each standardized code row; for p > 1 each row is scaled
+    by its largest entry first, so z**p cannot overflow."""
     rows = np.asarray(code, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.code_dim:
         raise ValueError(
@@ -48,7 +49,10 @@ def detection_index(model: DecisionModel, code: np.ndarray) -> np.ndarray:
     z = np.abs((rows - model.mean) / model.std)
     if model.norm_order == 1:
         return z.sum(axis=1)
-    return (z ** model.norm_order).sum(axis=1) ** (1.0 / model.norm_order)
+    peak = z.max(axis=1, keepdims=True, initial=0.0)
+    peak[peak == 0.0] = 1.0
+    scaled = (z / peak) ** model.norm_order
+    return peak[:, 0] * scaled.sum(axis=1) ** (1.0 / model.norm_order)
 
 
 def fit_decision(train_codes: np.ndarray, confidence: float = 0.99,

@@ -141,6 +141,8 @@ class DetectorBank:
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
+        if not self.detectors:
+            raise ValueError("bank needs at least one detector")
         # A PCA detector scores T2 and Q, an MD detector one distance.
         total = sum(2 if isinstance(det, PcaDetector) else 1 for det in self.detectors)
         if total != len(self.feature_names):
@@ -365,15 +367,19 @@ def fit_bank_member(train: ProcessDataset, member: str,
     raise ValueError(f"unknown bank member {member!r}")
 
 
+def member_feature_names(member: str) -> tuple:
+    """Names of a detector's feature columns: <member>_t2 and <member>_q
+    for pca and dpca, the member itself for md1-md3 and kpca_<kernel>."""
+    return (f"{member}_t2", f"{member}_q") if member in ("pca", "dpca") else (member,)
+
+
 def fit_detector_bank(train: ProcessDataset,
                       config: DetectorBankConfig = DetectorBankConfig()) -> DetectorBank:
-    """Fit the configured members in their fixed order; the default bank
-    yields seven features, named <member>_t2 and <member>_q for pca and
-    dpca and by the member for md1-md3."""
+    """Fit the configured members in their fixed order; features are
+    named by member_feature_names, seven for the default bank."""
     fitted = tuple(fit_bank_member(train, member, config) for member in config.members)
-    names = tuple(name for member in config.members for name in (
-        (f"{member}_t2", f"{member}_q") if member in ("pca", "dpca") else (member,)))
-    return DetectorBank(fitted, names)
+    return DetectorBank(fitted, tuple(name for member in config.members
+                                      for name in member_feature_names(member)))
 
 
 def detector_control_limit(train_scores: np.ndarray, confidence: float) -> float:

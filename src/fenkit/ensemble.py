@@ -15,8 +15,6 @@ class FeatureMatrix:
     sample i + sample_offset."""
 
     values: np.ndarray
-    layer: int
-    feature_names: tuple
     sample_offset: int = 0
 
     def __post_init__(self):
@@ -25,16 +23,10 @@ class FeatureMatrix:
             raise ValueError(f"feature matrix must be 2-d, got shape {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("feature matrix contains non-finite entries")
-        names = tuple(self.feature_names)
-        if len(names) != values.shape[1]:
-            raise ValueError(
-                f"{values.shape[1]} feature columns but {len(names)} names"
-            )
-        if self.layer < 0 or self.sample_offset < 0:
-            raise ValueError("layer and sample_offset must be non-negative")
+        if self.sample_offset < 0:
+            raise ValueError("sample_offset must be non-negative")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "feature_names", names)
 
     @property
     def n_samples(self) -> int:
@@ -48,7 +40,5 @@ class FeatureMatrix:
 def build_feature_matrix(bank: DetectorBank, data: ProcessDataset) -> FeatureMatrix:
     """Row i holds every bank feature evaluated at sample i; columns are
     bit-identical to scoring with each detector alone."""
-    columns = [detector_features(det, data.values) for det in bank.detectors]
-    return FeatureMatrix(np.hstack(columns), layer=0,
-                         feature_names=bank.feature_names, sample_offset=0)
-
+    return FeatureMatrix(np.hstack([detector_features(det, data.values)
+                                    for det in bank.detectors]))

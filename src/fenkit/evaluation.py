@@ -13,6 +13,8 @@ import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .datasets import (
     ProcessDataset,
     SyntheticConfig,
@@ -25,12 +27,15 @@ from .datasets import (
 )
 from .decision import fit_decision
 from .detectors import (
+    BANK_MEMBERS,
+    KPCA_KERNELS,
     detector_control_limit,
     detector_features,
     fit_bank_member,
-    fit_detector_bank,
     fit_kpca_detector,
+    member_feature_names,
 )
+from .ensemble import FeatureMatrix
 from .pipeline import (
     CONFIG_SECTIONS,
     PipelineConfig,
@@ -42,9 +47,12 @@ from .pipeline import (
     summarize,
 )
 
-# A base method is a bank feature name or kpca_<kernel>.
-BASE_METHODS = ("pca_t2", "pca_q", "dpca_t2", "dpca_q", "md1", "md2", "md3",
-                "kpca_poly", "kpca_rbf", "kpca_cosine")
+# A base method is a feature of a bank member or of a kpca_<kernel>
+# baseline, named by the bank's rule.
+_MEMBER_OF = {name: member
+              for member in BANK_MEMBERS + tuple(f"kpca_{k}" for k in KPCA_KERNELS)
+              for name in member_feature_names(member)}
+BASE_METHODS = tuple(_MEMBER_OF)
 PIPELINE_METHOD = "ae"
 KNOWN_METHODS = BASE_METHODS + (PIPELINE_METHOD,)
 
@@ -179,38 +187,36 @@ def resolve_scenario(spec: ScenarioSpec) -> tuple:
     return train, test
 
 
-def _base_cell(spec: ScenarioSpec, method: str, train: ProcessDataset,
-               test: ProcessDataset, config: PipelineConfig) -> ReportCell:
-    if method.startswith("kpca_"):
-        detector = fit_kpca_detector(train, method[len("kpca_"):])
-    else:
-        detector = fit_bank_member(train, method.split("_")[0], config.bank)
-    # T2 is a PCA detector's first column and Q its second; every other
-    # detector has one column.
-    column = int(method.endswith("_q"))
-    train_scores = detector_features(detector, train.values)[:, column]
-    test_scores = detector_features(detector, test.values)[:, column]
-    limit = detector_control_limit(train_scores, config.confidence)
-    summary = summarize(test_scores > limit, test.labels)
-    return ReportCell(spec.name, method, None, summary.fdr, summary.far, 0, spec.seed)
+def _scenario_columns(train: ProcessDataset, test: ProcessDataset,
+                      grid: ExperimentGrid) -> tuple:
+    """({feature: (train scores, test scores)}, {feature: error text}) for
+    the detectors the grid reads: the pipeline's bank members when `ae`
+    runs, then each member or KPCA kernel a base method names. Each is
+    fitted once and scores each record once; a failure fails only the
+    features of its own detector."""
+    members = [_MEMBER_OF[m] for m in grid.methods if m != PIPELINE_METHOD]
+    if PIPELINE_METHOD in grid.methods:
+        members[:0] = grid.pipeline.bank.members
+    columns, errors = {}, {}
+    for member in dict.fromkeys(members):
+        names = member_feature_names(member)
+        try:
+            if member.startswith("kpca_"):
+                detector = fit_kpca_detector(train, member[len("kpca_"):])
+            else:
+                detector = fit_bank_member(train, member, grid.pipeline.bank)
+            scores = [detector_features(detector, data.values) for data in (train, test)]
+        except (ValueError, RuntimeError) as error:
+            errors.update(dict.fromkeys(names, str(error)))
+            continue
+        columns.update((name, (scores[0][:, j], scores[1][:, j]))
+                       for j, name in enumerate(names))
+    return columns, errors
 
 
-def _error_cells(spec: ScenarioSpec, methods, depths, message: str) -> list:
-    cells = []
-    for method in methods:
-        if method == PIPELINE_METHOD:
-            cells.extend(ReportCell(spec.name, method, depth, None, None, 0,
-                                    spec.seed, error=message)
-                         for depth in depths)
-        else:
-            cells.append(ReportCell(spec.name, method, None, None, None, 0,
-                                    spec.seed, error=message))
-    return cells
-
-
-def _pipeline_cells(spec: ScenarioSpec, train: ProcessDataset,
+def _pipeline_cells(spec: ScenarioSpec, columns: dict, errors: dict,
                     test: ProcessDataset, grid: ExperimentGrid) -> list:
-    """One cell per requested depth, in grid order.
+    """One cell per requested depth, in grid order, from the bank's columns.
 
     Layer l depends only on the master seed and its own index, so a
     single pass over the stages of the deepest fit yields every
@@ -221,12 +227,17 @@ def _pipeline_cells(spec: ScenarioSpec, train: ProcessDataset,
     max_depth = max(grid.depths)
     layer_configs = resolve_layer_configs(
         replace(config, l_max=max_depth, layers=config.layers[:max_depth]))
+    names = [name for member in config.bank.members
+             for name in member_feature_names(member)]
     cells = {}
     depth, failure = 0, None
     try:
-        bank = fit_detector_bank(train, config.bank)
-        for layers, train_features, test_features in stages(
-                bank, layer_configs, train, test):
+        for name in names:
+            if name in errors:
+                raise ValueError(errors[name])
+        depth0 = [FeatureMatrix(np.column_stack([columns[n][side] for n in names]))
+                  for side in (0, 1)]
+        for layers, train_features, test_features in stages(layer_configs, *depth0):
             depth = len(layers)
             if depth not in grid.depths:
                 continue
@@ -269,19 +280,23 @@ def run_experiment(grid: ExperimentGrid) -> ExperimentReport:
         try:
             train, test = resolve_scenario(spec)
         except (ValueError, OSError) as error:
-            cells.extend(_error_cells(spec, grid.methods, grid.depths,
-                                      str(error)))
-            continue
+            # Without data every detector, and so every cell, fails.
+            test, columns, errors = None, {}, dict.fromkeys(BASE_METHODS, str(error))
+        else:
+            columns, errors = _scenario_columns(train, test, grid)
         for method in grid.methods:
             if method == PIPELINE_METHOD:
-                cells.extend(_pipeline_cells(spec, train, test, grid))
-                continue
-            try:
-                cells.append(_base_cell(spec, method, train, test,
-                                        grid.pipeline))
-            except (ValueError, RuntimeError) as error:
-                cells.extend(_error_cells(spec, (method,), grid.depths,
-                                          str(error)))
+                cells.extend(_pipeline_cells(spec, columns, errors, test, grid))
+            elif method in errors:
+                cells.append(ReportCell(spec.name, method, None, None, None, 0,
+                                        spec.seed, error=errors[method]))
+            else:
+                train_scores, test_scores = columns[method]
+                limit = detector_control_limit(train_scores,
+                                               grid.pipeline.confidence)
+                summary = summarize(test_scores > limit, test.labels)
+                cells.append(ReportCell(spec.name, method, None, summary.fdr,
+                                        summary.far, 0, spec.seed))
     return ExperimentReport(tuple(cells), grid_hash(grid),
                             grid.pipeline.master_seed,
                             time.perf_counter() - start)

@@ -130,38 +130,27 @@ def resolve_layer_configs(config: PipelineConfig) -> list:
     return resolved
 
 
-def stages(bank: DetectorBank, steps, train: ProcessDataset | None = None,
-           test: ProcessDataset | None = None):
+def stages(steps, train: FeatureMatrix | None = None,
+           test: FeatureMatrix | None = None):
     """Walk the chain one stage at a time, yielding (layers, training
-    features, test features) at every depth from the bank features at
-    depth 0 on.
-
-    With training data each step is a LayerConfig, fitted on the previous
-    training stage; without it each step is a fitted TransformLayer. Test
-    data passes through the same layers, so each test stage is computed
-    once. A side given as None yields None.
-    """
-    if test is not None:
-        expected = input_width(bank.detectors[0])
-        if test.n_variables != expected:
-            raise ValueError(
-                f"test data has {test.n_variables} variables, model expects {expected}"
-            )
-    train_features = None if train is None else build_feature_matrix(bank, train)
-    test_features = None if test is None else build_feature_matrix(bank, test)
+    features, test features) at every depth from the depth-0 bank features
+    on. With training features each step is a LayerConfig fitted on the
+    previous training stage, else a fitted TransformLayer; test features
+    pass through the same layers, so each test stage is computed once. A
+    side given as None yields None."""
     layers = ()
-    yield layers, train_features, test_features
+    yield layers, train, test
     for index, step in enumerate(steps):
         layer = step
         if train is not None:
             try:
-                layer, train_features = fit_layer(train_features, step)
+                layer, train = fit_layer(train, step)
             except ValueError as error:
                 raise ValueError(f"layer {index}: {error}") from error
         layers += (layer,)
         if test is not None:
-            test_features = apply_layer(layer, test_features)
-        yield layers, train_features, test_features
+            test = apply_layer(layer, test)
+        yield layers, train, test
 
 
 def summarize(flags, labels) -> DetectionSummary:
@@ -210,7 +199,7 @@ def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> Fen
         raise ValueError("training too short: fewer than 2 rows reach the decision layer")
 
     bank = fit_detector_bank(train, config.bank)
-    for layers, features, _ in stages(bank, layer_configs, train):
+    for layers, features, _ in stages(layer_configs, build_feature_matrix(bank, train)):
         pass
     decision = fit_decision(features.values, config.confidence, config.norm_order)
     return FenetModel(bank, layers, decision,
@@ -220,7 +209,13 @@ def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> Fen
 def detect(model: FenetModel, test: ProcessDataset) -> DetectionResult:
     """Apply the frozen chain; rows before the first full window chain
     are not scored (valid_from gives their count)."""
-    for _, _, features in stages(model.bank, model.layers, test=test):
+    expected = input_width(model.bank.detectors[0])
+    if test.n_variables != expected:
+        raise ValueError(
+            f"test data has {test.n_variables} variables, model expects {expected}"
+        )
+    for _, _, features in stages(model.layers,
+                                 test=build_feature_matrix(model.bank, test)):
         pass
     return score(model.decision, features, test)
 

@@ -113,8 +113,10 @@ class TransformLayer:
         freeze_arrays(self, score_scale=np.array(self.score_scale, dtype=np.float64))
         if self.input_features < 1:
             raise ValueError("input_features must be positive")
+        if not self.subsets:
+            raise ValueError("layer needs at least one column subset")
         for subset in self.subsets:
-            if len(set(subset)) != len(subset) or any(
+            if not subset or len(set(subset)) != len(subset) or any(
                     not (0 <= idx < self.input_features) for idx in subset):
                 raise ValueError(f"subset {subset} invalid for {self.input_features} columns")
 
@@ -173,17 +175,12 @@ def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> F
     n = features.n_samples
     if n < window_width:
         raise ValueError(f"{n} rows cannot host a window of width {window_width}")
-    subsets = [tuple(s) for s in subsets]
     blocks = []
-    names = []
-    for index, subset in enumerate(subsets):
+    for subset in subsets:
         windows = _sliding_windows(features.values[:, list(subset)], window_width)
         blocks.append(_normalized_singular_values(windows))
-        names.extend(f"subset{index}_sv{j}" for j in range(len(subset)))
-    return FeatureMatrix(
-        np.hstack(blocks), layer=features.layer, feature_names=tuple(names),
-        sample_offset=features.sample_offset + window_width - 1,
-    )
+    return FeatureMatrix(np.hstack(blocks),
+                         sample_offset=features.sample_offset + window_width - 1)
 
 
 def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
@@ -235,12 +232,7 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
 
     layer = TransformLayer(config, m_l, tuple(subsets), reduction, score_scale,
                            trained)
-    next_features = FeatureMatrix(
-        codes, layer=features.layer + 1,
-        feature_names=tuple(f"code{j}" for j in range(codes.shape[1])),
-        sample_offset=fused.sample_offset,
-    )
-    return layer, next_features
+    return layer, FeatureMatrix(codes, sample_offset=fused.sample_offset)
 
 
 def layer_loss(layer: TransformLayer, features: FeatureMatrix) -> tuple:
@@ -262,8 +254,4 @@ def apply_layer(layer: TransformLayer, features: FeatureMatrix) -> FeatureMatrix
     fused = build_fused_matrix(features, layer.subsets, layer.config.window_width)
     scaled = _reduce_and_scale(fused.values, layer.reduction, layer.score_scale)
     codes, _ = forward(layer.autoencoder, scaled)
-    return FeatureMatrix(
-        codes, layer=features.layer + 1,
-        feature_names=tuple(f"code{j}" for j in range(codes.shape[1])),
-        sample_offset=fused.sample_offset,
-    )
+    return FeatureMatrix(codes, sample_offset=fused.sample_offset)

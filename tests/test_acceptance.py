@@ -234,10 +234,8 @@ def test_05_window_scaling_invariance():
         values = rng.standard_normal((width, columns))
         a = float(rng.uniform(0.1, 10.0))
         b = float(rng.uniform(-5.0, 5.0))
-        plain = FeatureMatrix(values, layer=0,
-                              feature_names=tuple(f"c{i}" for i in range(columns)))
-        scaled = FeatureMatrix(a * values + b, layer=0,
-                               feature_names=plain.feature_names)
+        plain = FeatureMatrix(values)
+        scaled = FeatureMatrix(a * values + b)
         subset = tuple(range(columns))
         np.testing.assert_allclose(
             window_singular_values(plain, width - 1, subset, width),

@@ -1,6 +1,8 @@
 """Decision-layer contracts: index formula against a direct oracle,
 control-limit calibration, and strict-inequality alarms."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,16 @@ class TestDetectionIndex:
         expected = np.linalg.norm((code - model.mean) / model.std)
         np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
                                    rtol=1e-12)
+
+    def test_huge_norm_order_gives_row_maximum(self):
+        """A loadable norm_order of 1e300 used to overflow z**p to inf; the
+        index is then each row's largest standardized entry."""
+        model = DecisionModel(np.zeros(3), np.full(3, 2.0), int(1e300), limit=1.0)
+        codes = np.array([[1.0, -6.0, 4.0], [0.0, 0.0, 0.0], [3e300, -3e300, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            index = detection_index(model, codes)
+        np.testing.assert_array_equal(index, [3.0, 0.0, 1.5e300])
 
     def test_translation_covariance(self):
         """Shifting codes and mean together leaves every index fixed."""

@@ -23,17 +23,14 @@ def make_data(seed, n=300, m=5):
 class TestFeatureMatrix:
     def test_validation(self):
         with pytest.raises(ValueError, match="2-d"):
-            FeatureMatrix(np.zeros(3), layer=0, feature_names=("a",))
-        with pytest.raises(ValueError, match="names"):
-            FeatureMatrix(np.zeros((2, 2)), layer=0, feature_names=("a",))
+            FeatureMatrix(np.zeros(3))
         with pytest.raises(ValueError, match="non-finite"):
-            FeatureMatrix(np.array([[np.inf]]), layer=0, feature_names=("a",))
-        with pytest.raises(ValueError):
-            FeatureMatrix(np.zeros((2, 1)), layer=-1, feature_names=("a",))
+            FeatureMatrix(np.array([[np.inf]]))
+        with pytest.raises(ValueError, match="sample_offset"):
+            FeatureMatrix(np.zeros((2, 1)), sample_offset=-1)
 
     def test_properties(self):
-        fm = FeatureMatrix(np.zeros((4, 2)), layer=1, feature_names=("a", "b"),
-                           sample_offset=3)
+        fm = FeatureMatrix(np.zeros((4, 2)), sample_offset=3)
         assert fm.n_samples == 4
         assert fm.n_features == 2
         assert fm.sample_offset == 3
@@ -45,9 +42,7 @@ class TestBuildFeatureMatrix:
         bank = fit_detector_bank(data)
         features = build_feature_matrix(bank, data)
         assert features.values.shape == (400, 7)
-        assert features.layer == 0
         assert features.sample_offset == 0
-        assert features.feature_names == bank.feature_names
 
     def test_columns_match_individual_detectors(self):
         """Each column stays bit-identical to scoring with that detector

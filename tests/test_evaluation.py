@@ -3,16 +3,19 @@ completeness, per-cell error capture, report determinism, and the
 depth-prefix consistency of the pipeline cells."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fenkit import pipeline
+from fenkit import detectors, evaluation, pipeline
 from fenkit.autoencoder import TrainConfig
-from fenkit.datasets import SyntheticConfig, generate_synthetic, write_csv
+from fenkit.datasets import ProcessDataset, SyntheticConfig, generate_synthetic, write_csv
 from fenkit.detectors import (
+    BANK_MEMBERS,
     DetectorBankConfig,
     detector_features,
+    fit_bank_member,
     fit_dpca_detector,
     fit_kpca_detector,
     fit_md_detector,
@@ -213,7 +216,6 @@ class TestRunExperiment:
         grid, report = small_report
         train, test = resolve_scenario(grid.scenarios[0])
         for depth in grid.depths:
-            from dataclasses import replace
             direct = detect(fit(train, replace(grid.pipeline, l_max=depth)),
                             test)
             cell = next(c for c in report.cells
@@ -224,12 +226,14 @@ class TestRunExperiment:
 
     def test_base_cells_match_direct_computation(self):
         """Each base cell reports the rates of a direct fit, feature
-        column, empirical control limit and row count."""
+        column, empirical control limit and row count, also when the
+        pipeline's bank shares its detectors."""
         sticking = ScenarioSpec("sticking", synthetic=SyntheticConfig(
             n_variables=6, n_train=160, n_test=140, fault_type="sticking",
             fault_amplitude=4.0, fault_channels=(1, 4), fault_onset=60, seed=23))
         grid = ExperimentGrid(scenarios=(step_scenario(), sticking),
-                              methods=BASE_METHODS, depths=(0,), pipeline=PIPELINE)
+                              methods=BASE_METHODS + ("ae",), depths=(0,),
+                              pipeline=PIPELINE)
         cells = {(c.scenario, c.method): c for c in run_experiment(grid).cells}
         bank = PIPELINE.bank
         for spec in grid.scenarios:
@@ -256,6 +260,62 @@ class TestRunExperiment:
                 assert cell.error is None
                 assert cell.fdr == flags[test.labels > 0].mean()
                 assert cell.far == flags[test.labels == 0].mean()
+            direct = detect(fit(train, replace(PIPELINE, l_max=0)), test).summary
+            ae = cells[(spec.name, "ae")]
+            assert (ae.fdr, ae.far) == (direct.fdr, direct.far)
+
+    def test_each_detector_fitted_once_per_scenario(self, monkeypatch):
+        """The base cells and the pipeline's depth 0 share one fit of each
+        bank member: five fits per scenario, not one per base method plus
+        the pipeline's own bank."""
+        fitted = []
+
+        def counting(train, member, config=DetectorBankConfig()):
+            fitted.append(member)
+            return fit_bank_member(train, member, config)
+
+        for module in (detectors, evaluation):
+            monkeypatch.setattr(module, "fit_bank_member", counting)
+        grid = ExperimentGrid(scenarios=(step_scenario(), normal_scenario()),
+                              methods=BASE_METHODS + ("ae",), depths=(0,),
+                              pipeline=PIPELINE)
+        report = run_experiment(grid)
+        assert all(cell.error is None for cell in report.cells)
+        assert sorted(fitted) == sorted(BANK_MEMBERS * 2)
+
+    def test_short_training_fails_only_lagged_detectors(self):
+        """Three training rows leave no lag-2 window: the dpca cells and
+        the pipeline, whose bank holds dpca, fail with the fit's message;
+        every other detector still scores."""
+        spec = ScenarioSpec("short", synthetic=SyntheticConfig(
+            n_variables=6, n_train=3, n_test=20, fault_type="step",
+            fault_amplitude=4.0, fault_channels=(1, 4), fault_onset=10, seed=21))
+        grid = ExperimentGrid(scenarios=(spec,), methods=BASE_METHODS + ("ae",),
+                              depths=(0, 1), pipeline=PIPELINE)
+        for cell in run_experiment(grid).cells:
+            if cell.method.startswith("dpca_") or cell.method == "ae":
+                assert cell.error == "not enough rows after lag augmentation"
+                assert cell.fdr is None and cell.far is None
+            else:
+                assert cell.error is None
+                assert cell.fdr is not None and cell.far is not None
+
+    def test_narrow_test_file_fails_every_cell(self, tmp_path):
+        """A test file narrower than the training file fails the base and
+        the pipeline cells with the detectors' own width message."""
+        train, test = generate_synthetic(SyntheticConfig(
+            n_variables=6, n_train=160, n_test=140, seed=5)).split(160)
+        write_csv(train, tmp_path / "train.csv")
+        write_csv(ProcessDataset(test.values[:, :5], test.labels),
+                  tmp_path / "test.csv")
+        spec = ScenarioSpec("narrow", train_path=str(tmp_path / "train.csv"),
+                            test_path=str(tmp_path / "test.csv"))
+        grid = ExperimentGrid(scenarios=(spec,), methods=("md1", "ae"),
+                              depths=(0, 1), pipeline=PIPELINE)
+        cells = run_experiment(grid).cells
+        assert len(cells) == 3
+        assert {cell.error for cell in cells} == {
+            "sample matrix has shape (140, 5), detector expects 6 variables"}
 
     def test_dpca_at_lag_zero_reports_pca(self):
         """At dpca_lags=0 the dpca member is plain PCA, so the dpca cells

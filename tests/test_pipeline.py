@@ -235,23 +235,30 @@ class TestDetect:
 
 
 EMPTY_ARRAY = '{"type": "ndarray", "shape": [0], "offset": 0}'
+# Arrays of the single 1.0 in the data block that write_header appends.
+ONE = '{"type": "ndarray", "shape": [1], "offset": 0}'
+ONE_BY_ONE = '{"type": "ndarray", "shape": [1, 1], "offset": 0}'
+MD1_BANK = ('{"type": "DetectorBank", "feature_names": ["md1"], "detectors": '
+            '[{"type": "MdDetector", "variant": "MD1", "mean": %s, '
+            '"inverse_covariance": %s, "scaler": {"type": "ScalerStats", '
+            '"mean": %s, "std": %s}}]}' % (ONE, ONE_BY_ONE, ONE, ONE))
 
 
-def model_header(bank='{"type": "DetectorBank", "detectors": [], "feature_names": []}',
-                 layers="[]", config='{"type": "PipelineConfig"}') -> str:
-    """Header of a FenetModel with an empty bank and decision, so it
-    needs no data block."""
+def model_header(bank=MD1_BANK, layers="[]", config='{"type": "PipelineConfig"}') -> str:
+    """Header of a depth-0 FenetModel over one variable: an MD1 bank and
+    a decision whose arrays all read the data block's 1.0."""
     decision = ('{"type": "DecisionModel", "mean": %s, "std": %s, "norm_order": 1, '
-                '"limit": 0.0}' % (EMPTY_ARRAY, EMPTY_ARRAY))
+                '"limit": 0.0}' % (ONE, ONE))
     return ('{"type": "FenetModel", "bank": %s, "layers": %s, "decision": %s, '
             '"config": %s}' % (bank, layers, decision, config))
 
 
 def write_header(path, header: str, extra_length: int = 0) -> None:
-    """Checksum-valid model file holding the header and no data block."""
+    """Checksum-valid model file holding the header and a data block of
+    one float64 1.0."""
     header_bytes = header.encode("utf-8")
     body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes) + extra_length)
-            + header_bytes)
+            + header_bytes + struct.pack("<d", 1.0))
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 
@@ -360,6 +367,9 @@ class TestModelFile:
     @pytest.mark.parametrize("header, extra_length, message", [
         pytest.param(model_header(bank="5"), 0, "'bank' of FenetModel holds int",
                      id="bank-not-a-bank"),
+        pytest.param(model_header(bank='{"type": "DetectorBank", "detectors": [], '
+                                       '"feature_names": []}'), 0,
+                     "bank needs at least one detector", id="empty-bank"),
         pytest.param(model_header(layers="[5]"), 0,
                      "'layers' of FenetModel holds tuple", id="layer-not-a-layer"),
         pytest.param(model_header(bank=(

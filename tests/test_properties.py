@@ -43,6 +43,7 @@ from fenkit.pipeline import (
     MAGIC,
     FenetModel,
     PipelineConfig,
+    detect,
     fit,
     load,
     read_pipeline_config,
@@ -251,6 +252,12 @@ def _tiny_model_file() -> tuple:
     return json.loads(body[start:start + header_len]), body[start + header_len:]
 
 
+@functools.cache
+def _tiny_record():
+    """A 40-row record of the tiny model's 4 variables."""
+    return generate_synthetic(SyntheticConfig(4, 120, 40, seed=6)).split(120)[1]
+
+
 def _containers(node):
     """Every object and array in a decoded header, the root first."""
     if isinstance(node, (dict, list)):
@@ -276,7 +283,8 @@ class TestModelHeader:
     def test_mutated_header_loads_or_raises_value_error(self, data):
         """Drop a field, add one, replace a value or rename a type anywhere
         in a fitted model's header, re-checksum the file: it loads as a
-        model or raises ValueError."""
+        model that detects a small record to finite indices, or load or
+        detect raises ValueError."""
         original, blob = _tiny_model_file()
         header = copy.deepcopy(original)
         values = _json_values(original)
@@ -308,6 +316,11 @@ class TestModelHeader:
             except ValueError:
                 return
         assert isinstance(model, FenetModel)
+        try:
+            result = detect(model, _tiny_record())
+        except ValueError:
+            return
+        assert np.all(np.isfinite(result.index_values))
 
 
 def _finite(token: str) -> bool:

@@ -3,6 +3,7 @@ against the Gram oracle, fusion bookkeeping, PCA reduction, and the full
 fit/apply cycle with its determinism and alignment guarantees."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,11 +26,8 @@ from fenkit.transform import (
 )
 
 
-def feature_matrix(values, layer=0, offset=0):
-    values = np.asarray(values, dtype=np.float64)
-    return FeatureMatrix(values, layer=layer,
-                         feature_names=tuple(f"f{j}" for j in range(values.shape[1])),
-                         sample_offset=offset)
+def feature_matrix(values, offset=0):
+    return FeatureMatrix(np.asarray(values, dtype=np.float64), sample_offset=offset)
 
 
 def small_config(**overrides):
@@ -138,7 +136,6 @@ class TestBuildFusedMatrix:
         fused = build_fused_matrix(fm, subsets, window_width=150)
         assert fused.values.shape == (51, 21 * 5)
         assert fused.sample_offset == 149
-        assert fused.layer == fm.layer
 
     def test_rows_match_per_window_calls(self):
         rng = np.random.default_rng(10)
@@ -231,7 +228,6 @@ class TestFitLayer:
         config = small_config()
         layer, nxt = fit_layer(fm, config)
         assert nxt.values.shape == (120 - 19, 4)
-        assert nxt.layer == 1
         assert nxt.sample_offset == 19
         assert layer.input_features == 5
 
@@ -241,7 +237,6 @@ class TestFitLayer:
         replay = apply_layer(layer, fm)
         np.testing.assert_array_equal(replay.values, nxt.values)
         assert replay.sample_offset == nxt.sample_offset
-        assert replay.layer == nxt.layer
 
     def test_fit_is_deterministic(self):
         fm = self.layer_input(seed=20)
@@ -275,7 +270,6 @@ class TestFitLayer:
         assert u1.n_samples == 150 - 19
         assert u2.n_samples == 150 - 2 * 19
         assert u2.sample_offset == 38
-        assert u2.layer == 2
 
     def test_shifted_input_shifts_output(self):
         """Dropping the first s rows drops exactly the windows that
@@ -302,6 +296,14 @@ class TestFitLayer:
         layer, _ = fit_layer(fm, small_config())
         with pytest.raises(ValueError, match="columns"):
             apply_layer(layer, self.layer_input(seed=25, m=6))
+
+    @pytest.mark.parametrize("subsets", [(), ((0, 1), ())])
+    def test_layer_without_columns_rejected(self, subsets):
+        """An empty subset list or subset used to load from a model file
+        and then warn on the mean of an empty window in detect."""
+        layer, _ = fit_layer(self.layer_input(seed=27), small_config())
+        with pytest.raises(ValueError, match="subset"):
+            replace(layer, subsets=subsets)
 
     def test_sparse_and_variational_variants_fit(self):
         fm = self.layer_input(seed=26)
