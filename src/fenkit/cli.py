@@ -35,7 +35,7 @@ from .pipeline import (
     read_pipeline_config,
     save,
 )
-from .transform import apply_layer, layer_loss
+from .transform import layer_loss
 
 
 @contextlib.contextmanager
@@ -82,8 +82,7 @@ def _command_train(args) -> None:
     features = build_feature_matrix(model.bank, data)
     print(f"detector bank: {features.n_features} features")
     for index, layer in enumerate(model.layers):
-        total, parts = layer_loss(layer, features)
-        features = apply_layer(layer, features)
+        total, parts, features = layer_loss(layer, features)
         parts_text = ", ".join(f"{name} {value:.6g}"
                                for name, value in parts.items())
         print(f"layer {index}: {layer.input_features} -> "

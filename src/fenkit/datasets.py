@@ -7,6 +7,7 @@ object, so instances are safe to share across threads.
 """
 
 import configparser
+import math
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import get_args, get_origin
 
@@ -149,7 +150,7 @@ def load_csv(path, has_header: bool = False) -> ProcessDataset:
                 raise ValueError(
                     f"{path}: non-numeric field at line {lineno}, column {col + 1}: {token!r}"
                 ) from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(
                     f"{path}: non-finite field at line {lineno}, column {col + 1}: {token!r}"
                 )

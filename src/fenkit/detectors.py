@@ -7,6 +7,7 @@ subspace, lag-1 augmented space) for seven features total.  Kernel PCA
 detectors are provided as standalone baselines and stay out of the bank.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +88,13 @@ class MdDetector:
 @dataclass(frozen=True)
 class KpcaDetector:
     """Kernel-PCA baseline; scores new samples by T2 in the retained
-    kernel eigenspace, calibrated against the training score variances."""
+    kernel eigenspace, calibrated against the training score variances.
+
+    Dual form: a sample's kernel row against train_rows, centred with
+    row_mean and grand_mean, times the kernel eigenvectors alphas.  Primal
+    form, marked by empty train_rows: the sample's explicit feature map
+    less its training mean row_mean, times alphas = V S from the thin SVD
+    of the centred training feature matrix; grand_mean is unused."""
 
     kernel: str
     scaler: ScalerStats
@@ -260,27 +267,89 @@ def score_md(model: MdDetector, values: np.ndarray) -> np.ndarray:
     return _mahalanobis(model, space)
 
 
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), EPS_STD)
+
+
+def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, clipped at zero; exactly
+    symmetric when b is a, as numpy evaluates a @ a.T symmetrically."""
+    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+          - 2.0 * (a @ b.T))
+    return np.clip(sq, 0.0, None, out=sq)
+
+
+def _rbf_from_squared(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    """exp(-sq / (2 bandwidth^2)), written over sq."""
+    np.negative(sq, out=sq)
+    sq /= 2.0 * bandwidth ** 2
+    return np.exp(sq, out=sq)
+
+
 def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray, degree: float = 3.0,
                   offset: float = 1.0, bandwidth: float = 1.0) -> np.ndarray:
     if kind == "poly":
         return (a @ b.T + offset) ** degree
     if kind == "rbf":
-        sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-              - 2.0 * (a @ b.T))
-        return np.exp(-np.clip(sq, 0.0, None) / (2.0 * bandwidth ** 2))
+        return _rbf_from_squared(_squared_distances(a, b), bandwidth)
     if kind == "cosine":
-        na = a / np.maximum(np.linalg.norm(a, axis=1, keepdims=True), EPS_STD)
-        nb = b / np.maximum(np.linalg.norm(b, axis=1, keepdims=True), EPS_STD)
-        return na @ nb.T
+        return _unit_rows(a) @ _unit_rows(b).T
     raise ValueError(f"kernel must be one of {KPCA_KERNELS}, got {kind!r}")
 
 
+def _median_distance(sq: np.ndarray) -> float:
+    """Median off-diagonal distance of an exactly symmetric squared-distance
+    matrix: each pair appears twice, which leaves the median unchanged."""
+    n = sq.shape[0]
+    if n < 2:
+        return 1.0
+    off_diagonal = np.sqrt(sq).ravel()[1:].reshape(n - 1, n + 1)[:, :-1]
+    return float(np.median(off_diagonal))
+
+
 def median_pairwise_distance(rows: np.ndarray) -> float:
-    sq = (np.sum(rows * rows, axis=1)[:, None] + np.sum(rows * rows, axis=1)[None, :]
-          - 2.0 * (rows @ rows.T))
-    distances = np.sqrt(np.clip(sq, 0.0, None))
-    upper = distances[np.triu_indices(rows.shape[0], k=1)]
-    return float(np.median(upper)) if upper.size else 1.0
+    return _median_distance(_squared_distances(rows, rows))
+
+
+def _feature_map_width(kernel: str, m: int, degree: float, offset: float):
+    """Columns of the kernel's explicit feature map over m inputs, or None
+    when it has none: cosine, and poly with integer degree >= 1 and
+    offset >= 0 (at offset 0 only the top-degree monomials remain)."""
+    if kernel == "cosine":
+        return m
+    if kernel == "poly" and degree >= 1 and float(degree).is_integer() and offset >= 0:
+        d = int(degree)
+        return math.comb(m + d, d) if offset > 0 else math.comb(m + d - 1, d)
+    return None
+
+
+def _feature_map(kernel: str, rows: np.ndarray, degree: float, offset: float) -> np.ndarray:
+    """phi with phi(x) . phi(y) = k(x, y) for a kernel _feature_map_width
+    accepts.  (x.y + c)^d expands into the monomials x^a with |a| = k <= d,
+    each weighted by sqrt(C(d, k) c^(d-k) multinomial(k; a))."""
+    if kernel == "cosine":
+        return _unit_rows(rows)
+    d = int(degree)
+    columns = []
+    for k in range(0 if offset > 0 else d, d + 1):
+        scale = math.comb(d, k) * offset ** (d - k)
+        for combo in itertools.combinations_with_replacement(range(rows.shape[1]), k):
+            multinomial = math.factorial(k) // math.prod(
+                math.factorial(combo.count(i)) for i in set(combo))
+            columns.append(math.sqrt(scale * multinomial) * np.prod(rows[:, combo], axis=1))
+    return np.column_stack(columns)
+
+
+def _retained_components(eigenvalues: np.ndarray, variance_fraction: float) -> int:
+    """retained_count of a centred kernel matrix's descending eigenvalues,
+    from either form: the dual's eigh or the primal's squared singular
+    values."""
+    top = float(eigenvalues[0])
+    if not top > 0.0:  # also a NaN spectrum, from a kernel matrix with NaN entries
+        raise ValueError("degenerate kernel matrix: no positive eigenvalues")
+    if float(eigenvalues[-1]) < -1e-8 * top:
+        raise ValueError("centered kernel matrix is not positive semi-definite")
+    return retained_count(eigenvalues, variance_fraction)
 
 
 def fit_kpca_detector(train: ProcessDataset, kernel: str,
@@ -289,49 +358,64 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
                       max_train_rows: int = 2000) -> KpcaDetector:
     """Kernel PCA on (capped) standardized training rows.
 
-    The kernel matrix is n x n, so training rows beyond max_train_rows
-    are thinned by a deterministic stride.  The rbf bandwidth defaults to
-    the median pairwise distance of the retained rows.
+    A kernel with an explicit feature map narrower than the training rows
+    is fitted in primal form, by a thin SVD of the centred feature matrix
+    (Schoelkopf, Smola & Mueller 1998); every other kernel in dual form,
+    on the n x n kernel matrix.  Both give the same T2.  The kernel matrix
+    is n x n, so training rows beyond max_train_rows are thinned by a
+    deterministic stride.  The rbf bandwidth defaults to the median
+    pairwise distance of the retained rows.
     """
     scaler = fit_standardize(train)
     rows = _standardized(train.values, scaler)
     if rows.shape[0] > max_train_rows:
         stride = math.ceil(rows.shape[0] / max_train_rows)
         rows = rows[::stride][:max_train_rows]
-    if kernel == "rbf" and bandwidth is None:
-        bandwidth = max(median_pairwise_distance(rows), EPS_STD)
+    width = _feature_map_width(kernel, rows.shape[1], degree, offset)
+    sq = _squared_distances(rows, rows) if kernel == "rbf" else None
+    if sq is not None and bandwidth is None:
+        bandwidth = max(_median_distance(sq), EPS_STD)
     params = {"degree": degree, "offset": offset, "bandwidth": bandwidth or 1.0}
 
-    # Centred in place, as the Gram matrix is the fit's largest array; the
-    # steps round (i, j) and (j, i) apart, so symmetrise for sym_eig.
-    centered = kernel_matrix(kernel, rows, rows, **params)
-    row_mean = centered.mean(axis=1)
-    grand_mean = float(centered.mean())
-    centered -= row_mean[None, :]
-    centered -= row_mean[:, None]
-    centered += grand_mean
-    eig = sym_eig((centered + centered.T) / 2.0)
-    top = float(eig.eigenvalues[0])
-    if top <= 0.0:
-        raise ValueError("degenerate kernel matrix: no positive eigenvalues")
-    if float(eig.eigenvalues[-1]) < -1e-8 * top:
-        raise ValueError("centered kernel matrix is not positive semi-definite")
-    t = retained_count(eig.eigenvalues, variance_fraction)
+    if width is not None and width < rows.shape[0]:
+        centered = _feature_map(kernel, rows, degree, offset)
+        row_mean = centered.mean(axis=0)
+        centered -= row_mean
+        _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+        t = _retained_components(singular * singular, variance_fraction)
+        alphas = vt[:t].T * singular[:t]
+        train_rows, grand_mean = rows[:0], 0.0
+    else:
+        # Centred in place, as the Gram matrix is the fit's largest array;
+        # the steps round (i, j) and (j, i) apart, so symmetrise for sym_eig.
+        centered = (kernel_matrix(kernel, rows, rows, **params) if sq is None
+                    else _rbf_from_squared(sq, params["bandwidth"]))
+        row_mean = centered.mean(axis=1)
+        grand_mean = float(centered.mean())
+        centered -= row_mean[None, :]
+        centered -= row_mean[:, None]
+        centered += grand_mean
+        eig = sym_eig((centered + centered.T) / 2.0)
+        t = _retained_components(eig.eigenvalues, variance_fraction)
+        alphas = eig.eigenvectors[:, :t]
+        train_rows = rows
 
-    alphas = eig.eigenvectors[:, :t]
     train_scores = centered @ alphas
     score_variance = np.maximum(train_scores.var(axis=0, ddof=1), EPS_STD ** 2)
-    return KpcaDetector(kernel, scaler, rows, alphas, row_mean, grand_mean,
+    return KpcaDetector(kernel, scaler, train_rows, alphas, row_mean, grand_mean,
                         score_variance, **params)
 
 
 def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
     """T2 per sample row in the retained kernel eigenspace."""
     rows = _standardized(_sample_matrix(values, model), model.scaler)
-    cross = kernel_matrix(model.kernel, rows, model.train_rows, degree=model.degree,
-                          offset=model.offset, bandwidth=model.bandwidth)
-    centered = (cross - cross.mean(axis=1, keepdims=True)
-                - model.row_mean[None, :] + model.grand_mean)
+    if model.train_rows.shape[0] == 0:
+        centered = _feature_map(model.kernel, rows, model.degree, model.offset) - model.row_mean
+    else:
+        cross = kernel_matrix(model.kernel, rows, model.train_rows, degree=model.degree,
+                              offset=model.offset, bandwidth=model.bandwidth)
+        centered = (cross - cross.mean(axis=1, keepdims=True)
+                    - model.row_mean[None, :] + model.grand_mean)
     scores = centered @ model.alphas
     return np.sum(scores * scores / model.score_variance, axis=1)
 

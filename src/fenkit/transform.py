@@ -195,11 +195,6 @@ def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
     return reduction, (values - reduction.mean) @ reduction.projection
 
 
-def _reduce_and_scale(values: np.ndarray, reduction: PcaReduction,
-                      score_scale: np.ndarray) -> np.ndarray:
-    return ((values - reduction.mean) @ reduction.projection) / score_scale
-
-
 def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
     """Fit one layer on U^l and return (TransformLayer, U^{l+1}).
 
@@ -235,23 +230,32 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
     return layer, FeatureMatrix(codes, sample_offset=fused.sample_offset)
 
 
-def layer_loss(layer: TransformLayer, features: FeatureMatrix) -> tuple:
-    """(total, parts) of the stored autoencoder on this layer's scaled
-    inputs; on the fit-time features this is the post-training loss."""
-    fused = build_fused_matrix(features, layer.subsets, layer.config.window_width)
-    scaled = _reduce_and_scale(fused.values, layer.reduction, layer.score_scale)
-    return loss(layer.autoencoder, scaled, layer.config.training.l1_weight)
-
-
-def apply_layer(layer: TransformLayer, features: FeatureMatrix) -> FeatureMatrix:
-    """Run U^l through the frozen layer; bit-identical to the fit-time
-    output on the training features."""
+def _scaled_inputs(layer: TransformLayer, features: FeatureMatrix) -> tuple:
+    """(autoencoder inputs, sample_offset) of U^l through the frozen
+    spectra, PCA reduction and score scale."""
     if features.n_features != layer.input_features:
         raise ValueError(
             f"feature matrix has {features.n_features} columns, layer was fitted "
             f"on {layer.input_features}"
         )
     fused = build_fused_matrix(features, layer.subsets, layer.config.window_width)
-    scaled = _reduce_and_scale(fused.values, layer.reduction, layer.score_scale)
+    reduced = (fused.values - layer.reduction.mean) @ layer.reduction.projection
+    return reduced / layer.score_scale, fused.sample_offset
+
+
+def layer_loss(layer: TransformLayer, features: FeatureMatrix) -> tuple:
+    """(total, parts, U^{l+1}) of the stored autoencoder on this layer's
+    scaled inputs; on the fit-time features the loss is the post-training
+    loss and U^{l+1} equals apply_layer's output."""
+    scaled, sample_offset = _scaled_inputs(layer, features)
+    total, parts = loss(layer.autoencoder, scaled, layer.config.training.l1_weight)
     codes, _ = forward(layer.autoencoder, scaled)
-    return FeatureMatrix(codes, sample_offset=fused.sample_offset)
+    return total, parts, FeatureMatrix(codes, sample_offset=sample_offset)
+
+
+def apply_layer(layer: TransformLayer, features: FeatureMatrix) -> FeatureMatrix:
+    """Run U^l through the frozen layer; bit-identical to the fit-time
+    output on the training features."""
+    scaled, sample_offset = _scaled_inputs(layer, features)
+    codes, _ = forward(layer.autoencoder, scaled)
+    return FeatureMatrix(codes, sample_offset=sample_offset)

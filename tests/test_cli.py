@@ -144,6 +144,23 @@ class TestTrain:
         assert "final loss" in out
         assert "decision: limit" in out
 
+    def test_summary_builds_each_layer_once(self, workspace, tmp_path, monkeypatch):
+        """The fit builds each layer's window spectra once, and the summary
+        walk once more: 4 builds for two layers."""
+        import fenkit.transform as transform_module
+        real_build = transform_module.build_fused_matrix
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(transform_module, "build_fused_matrix", counting)
+        assert main(["train", "--train", str(workspace / "data" / "train.csv"),
+                     "--config", str(workspace / "pipeline.ini"),
+                     "--model", str(tmp_path / "model.fenet")]) == 0
+        assert len(calls) == 4
+
     def test_retrain_is_byte_identical(self, workspace, tmp_path):
         other = tmp_path / "model.fenet"
         assert main(["train", "--train", str(workspace / "data" / "train.csv"),

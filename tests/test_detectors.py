@@ -2,9 +2,12 @@
 quadratic-form oracles, lag handling, kernel baselines, bank assembly and
 control limits."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
+import fenkit.detectors as detectors_module
 from fenkit.datasets import ProcessDataset, ScalerStats, SyntheticConfig, generate_synthetic
 from fenkit.detectors import (
     DetectorBank,
@@ -334,6 +337,75 @@ class TestKpca:
         values[100] = -10.0 + rng.standard_normal(10)
         model = fit_kpca_detector(as_dataset(values), "poly")
         assert np.all(np.isfinite(score_kpca(model, values)))
+
+    @staticmethod
+    def force_dual(monkeypatch):
+        monkeypatch.setattr(detectors_module, "_feature_map_width", lambda *args: None)
+
+    @pytest.mark.parametrize("kernel, degree, offset", [("cosine", 3.0, 1.0)] + [
+        ("poly", degree, offset) for degree in (1.0, 2.0, 3.0) for offset in (0.0, 1.0, 2.5)])
+    def test_primal_matches_dual(self, monkeypatch, kernel, degree, offset):
+        """The thin SVD of the centred feature map gives the dual fit's
+        retained count and T2, on training and on new rows."""
+        data = correlated_data(45)
+        samples = 2.0 * np.random.default_rng(46).standard_normal((60, 5))
+        primal = fit_kpca_detector(data, kernel, degree=degree, offset=offset)
+        self.force_dual(monkeypatch)
+        dual = fit_kpca_detector(data, kernel, degree=degree, offset=offset)
+        assert primal.train_rows.shape[0] == 0 and dual.train_rows.shape[0] == 400
+        assert primal.alphas.shape[1] == dual.alphas.shape[1]
+        for values in (data.values, samples):
+            np.testing.assert_allclose(score_kpca(primal, values),
+                                       score_kpca(dual, values), rtol=1e-10)
+
+    @pytest.mark.parametrize("kernel, kwargs, m", [
+        ("rbf", {}, 5),
+        ("poly", {"degree": 2.5, "offset": 100.0}, 5),
+        ("poly", {"degree": 1.0, "offset": -1.0}, 5),
+        ("poly", {"degree": 3.0, "offset": 1.0}, 10),  # C(13, 3) = 286 columns
+    ])
+    def test_dual_dispatch(self, monkeypatch, kernel, kwargs, m):
+        """RBF, non-integer degrees, negative offsets and a feature map at
+        least as wide as the 200 training rows eigendecompose the kernel
+        matrix."""
+        real_eig = detectors_module.sym_eig
+        shapes = []
+        monkeypatch.setattr(detectors_module, "sym_eig",
+                            lambda matrix: shapes.append(matrix.shape) or real_eig(matrix))
+        with contextlib.suppress(ValueError):  # a fractional power need not be PSD
+            fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
+        assert shapes == [(200, 200)]
+
+    @pytest.mark.parametrize("kernel", ["poly", "cosine"])
+    def test_constant_training_data_rejected_on_both_paths(self, monkeypatch, kernel):
+        data = as_dataset(np.full((50, 3), 2.0))
+        with pytest.raises(ValueError, match="degenerate kernel matrix"):
+            fit_kpca_detector(data, kernel)
+        self.force_dual(monkeypatch)
+        with pytest.raises(ValueError, match="degenerate kernel matrix"):
+            fit_kpca_detector(data, kernel)
+
+    def test_nan_kernel_matrix_rejected(self):
+        """A fractional power of a negative kernel base is NaN; the fit
+        fails instead of keeping no components and scoring every row 0."""
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="degenerate kernel matrix"):
+            fit_kpca_detector(correlated_data(48), "poly", degree=2.5)
+
+    @pytest.mark.parametrize("n", [1, 40, 42])
+    def test_rbf_matches_reference_bitwise(self, n):
+        """One squared-distance matrix serves the median heuristic and the
+        kernel; both stay bit-equal to the upper-triangle median and the
+        direct kernel formula (780 and 861 pairs: even and odd counts)."""
+        rows = np.random.default_rng(49).standard_normal((n, 4))
+        sq = (np.sum(rows * rows, axis=1)[:, None] + np.sum(rows * rows, axis=1)[None, :]
+              - 2.0 * (rows @ rows.T))
+        upper = np.sqrt(np.clip(sq, 0.0, None))[np.triu_indices(n, k=1)]
+        bandwidth = float(np.median(upper)) if upper.size else 1.0
+        assert median_pairwise_distance(rows) == bandwidth
+        np.testing.assert_array_equal(
+            kernel_matrix("rbf", rows, rows, bandwidth=bandwidth),
+            np.exp(-np.clip(sq, 0.0, None) / (2.0 * bandwidth ** 2)))
 
 
 class TestBank:

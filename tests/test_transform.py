@@ -21,6 +21,7 @@ from fenkit.transform import (
     derive_seed,
     fit_layer,
     fit_pca_reduction,
+    layer_loss,
     select_column_subsets,
     window_singular_values,
 )
@@ -237,6 +238,9 @@ class TestFitLayer:
         replay = apply_layer(layer, fm)
         np.testing.assert_array_equal(replay.values, nxt.values)
         assert replay.sample_offset == nxt.sample_offset
+        _, _, summarized = layer_loss(layer, fm)
+        np.testing.assert_array_equal(summarized.values, nxt.values)
+        assert summarized.sample_offset == nxt.sample_offset
 
     def test_fit_is_deterministic(self):
         fm = self.layer_input(seed=20)
