@@ -217,9 +217,10 @@ def _run_stack(specs, batch):
     return a, caches
 
 
-def _backprop_stack(specs, caches, upstream):
+def _backprop_stack(specs, caches, upstream, input_gradient=True):
     """Gradient of the stack given dLoss/d(stack output); returns
-    per-layer (dW, db) plus dLoss/d(stack input)."""
+    per-layer (dW, db) plus dLoss/d(stack input), which is None unless
+    input_gradient is set."""
     grads = [None] * len(specs)
     da = upstream
     for k in range(len(specs) - 1, -1, -1):
@@ -227,7 +228,7 @@ def _backprop_stack(specs, caches, upstream):
         a_prev, z = caches[k]
         delta = da if activation == "linear" else da * _activation_derivative(z, activation)
         grads[k] = (a_prev.T @ delta, delta.sum(axis=0))
-        da = delta @ weights.T
+        da = delta @ weights.T if k or input_gradient else None
     return grads, da
 
 
@@ -297,7 +298,7 @@ def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
             d_logvar = d_logvar + d_code * 0.5 * sigma * noise
         d_head = np.concatenate([d_mu, d_logvar], axis=1)
 
-    enc_grads, _ = _backprop_stack(enc_specs, enc_caches, d_head)
+    enc_grads, _ = _backprop_stack(enc_specs, enc_caches, d_head, input_gradient=False)
 
     flat = []
     for dw, db in enc_grads + dec_grads:

@@ -140,22 +140,14 @@ class DetectorBankConfig:
 
 @dataclass(frozen=True)
 class DetectorBank:
-    """Fitted detectors in a fixed order with one name per feature."""
+    """Fitted detectors in a fixed order."""
 
     detectors: tuple[PcaDetector | MdDetector, ...]
-    feature_names: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "detectors", tuple(self.detectors))
-        object.__setattr__(self, "feature_names", tuple(self.feature_names))
         if not self.detectors:
             raise ValueError("bank needs at least one detector")
-        # A PCA detector scores T2 and Q, an MD detector one distance.
-        total = sum(2 if isinstance(det, PcaDetector) else 1 for det in self.detectors)
-        if total != len(self.feature_names):
-            raise ValueError(
-                f"{total} detector features but {len(self.feature_names)} names"
-            )
 
 
 def _standardized(values: np.ndarray, scaler: ScalerStats) -> np.ndarray:
@@ -366,6 +358,8 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     deterministic stride.  The rbf bandwidth defaults to the median
     pairwise distance of the retained rows.
     """
+    if np.all(train.values == train.values[:1]):
+        raise ValueError("degenerate input: all columns are constant")
     scaler = fit_standardize(train)
     rows = _standardized(train.values, scaler)
     if rows.shape[0] > max_train_rows:
@@ -459,11 +453,10 @@ def member_feature_names(member: str) -> tuple:
 
 def fit_detector_bank(train: ProcessDataset,
                       config: DetectorBankConfig = DetectorBankConfig()) -> DetectorBank:
-    """Fit the configured members in their fixed order; features are
-    named by member_feature_names, seven for the default bank."""
-    fitted = tuple(fit_bank_member(train, member, config) for member in config.members)
-    return DetectorBank(fitted, tuple(name for member in config.members
-                                      for name in member_feature_names(member)))
+    """Fit the configured members in their fixed order; their feature
+    columns are named by member_feature_names, seven for the default bank."""
+    return DetectorBank(tuple(fit_bank_member(train, member, config)
+                              for member in config.members))
 
 
 def detector_control_limit(train_scores: np.ndarray, confidence: float) -> float:

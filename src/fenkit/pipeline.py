@@ -40,7 +40,7 @@ from .transform import (
 )
 
 MAGIC = b"FENETAE1"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 DEFAULT_LAYER_TEMPLATE = LayerConfig(window_width=150, subset_size=5)
 

@@ -11,6 +11,8 @@ tracks the alignment with the original samples.
 
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,11 @@ def derive_seed(*components) -> int:
     """Deterministic 64-bit child seed from integer components."""
     state = np.random.SeedSequence([int(c) for c in components])
     return int(state.generate_state(1, np.uint64)[0])
+
+
+# Windows per batched decomposition: a (512, 150, 5) float64 block is 3 MB,
+# small enough to stay in cache from normalisation through the SVD.
+_BLOCK_WINDOWS = 512
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,9 @@ def select_column_subsets(m_l: int, h_l: int, max_subsets: int, seed: int) -> li
 
 def window_singular_values(features: FeatureMatrix, q: int, subset, window_width: int) -> np.ndarray:
     """Descending singular values of the pooled-normalized window ending
-    at row q, restricted to the subset columns."""
+    at row q, restricted to the subset columns.  They match the row of
+    build_fused_matrix to rounding, not to the byte: numpy reduces a lone
+    window in another order than a stack of them."""
     if q < window_width - 1:
         raise ValueError(
             f"window ending at row {q} extends before row 0 (width {window_width})"
@@ -153,8 +162,12 @@ def window_singular_values(features: FeatureMatrix, q: int, subset, window_width
 
 
 def _normalized_singular_values(windows: np.ndarray) -> np.ndarray:
-    """Pooled-scalar normalization then SVD over a (batch, w, h) stack."""
-    mean = windows.mean(axis=(1, 2), keepdims=True)
+    """Pooled-scalar normalization then SVD over a (batch, w, h) stack.
+    A window whose entries are all equal is centred on that entry, as its
+    pooled mean need not round to it; its spectra are then exactly zero."""
+    first = windows[:, :1, :1]
+    mean = np.where(np.all(windows == first, axis=(1, 2), keepdims=True), first,
+                    windows.mean(axis=(1, 2), keepdims=True))
     std = windows.std(axis=(1, 2), ddof=1, keepdims=True)
     normalized = (windows - mean) / np.maximum(std, EPS_STD)
     return singular_values(normalized)
@@ -166,21 +179,55 @@ def _sliding_windows(values: np.ndarray, window_width: int) -> np.ndarray:
     return np.swapaxes(view, 1, 2)
 
 
+def _block_bounds(count: int) -> list:
+    """[start, stop) bounds of _BLOCK_WINDOWS-window blocks over count
+    windows.  A trailing one-window block joins the block before it, so
+    every window's pooled mean is reduced in the same order as in one
+    stack of all windows."""
+    starts = list(range(0, count, _BLOCK_WINDOWS))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [count]))
+
+
+def _subset_spectra(values: np.ndarray, subset, window_width: int, out: np.ndarray) -> None:
+    """Write the spectra of every window over the subset columns into out,
+    one row per window, block by block."""
+    windows = _sliding_windows(values[:, list(subset)], window_width)
+    for start, stop in _block_bounds(len(windows)):
+        out[start:stop] = _normalized_singular_values(windows[start:stop])
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> FeatureMatrix:
     """Concatenate per-subset singular-value rows across all windows.
 
     Row r holds the spectra of the windows ending at sample r + w - 1;
-    the sample_offset advances accordingly.
+    the sample_offset advances accordingly.  The subsets run on a pool of
+    one thread per CPU, which is closed before the call returns; every
+    window is decomposed alone, so the bytes do not depend on the pool.
     """
     n = features.n_samples
     if n < window_width:
         raise ValueError(f"{n} rows cannot host a window of width {window_width}")
-    blocks = []
-    for subset in subsets:
-        windows = _sliding_windows(features.values[:, list(subset)], window_width)
-        blocks.append(_normalized_singular_values(windows))
-    return FeatureMatrix(np.hstack(blocks),
-                         sample_offset=features.sample_offset + window_width - 1)
+    if not subsets:
+        raise ValueError("fused matrix needs at least one column subset")
+    edges = np.cumsum([0] + [len(subset) for subset in subsets])
+    fused = np.empty((n - window_width + 1, edges[-1]))
+    with ThreadPoolExecutor(max_workers=min(len(subsets), _cpu_count())) as pool:
+        jobs = [pool.submit(_subset_spectra, features.values, subset, window_width,
+                            fused[:, start:stop])
+                for subset, start, stop in zip(subsets, edges[:-1], edges[1:])]
+        for job in jobs:
+            job.result()
+    return FeatureMatrix(fused, sample_offset=features.sample_offset + window_width - 1)
 
 
 def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:

@@ -2,12 +2,14 @@
 
 These deliberately avoid the library's own code paths: singular values
 come from a Gram-matrix eigendecomposition, gradients from central finite
-differences of the public loss function.
+differences of the public loss function.  The one exception is
+per_subset_spectra, the single-stack reference of the blocked spectra.
 """
 
 import numpy as np
 
 from fenkit import autoencoder
+from fenkit.transform import _normalized_singular_values
 
 
 def gram_singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -44,3 +46,11 @@ def assert_gradients_close(analytic, oracle, rtol=1e-4, atol=1e-6):
         bound = np.maximum(rtol * np.abs(f), atol)
         worst = np.max(np.abs(a - f) - bound)
         assert worst <= 0, f"gradient mismatch by {worst:.3e} beyond tolerance"
+
+
+def per_subset_spectra(values: np.ndarray, subsets, window_width: int) -> np.ndarray:
+    """build_fused_matrix's values from one _normalized_singular_values
+    call over each subset's whole (windows, w, h) stack, on one thread."""
+    stacks = [np.swapaxes(np.lib.stride_tricks.sliding_window_view(
+        values[:, list(subset)], window_width, axis=0), 1, 2) for subset in subsets]
+    return np.hstack([_normalized_singular_values(stack) for stack in stacks])

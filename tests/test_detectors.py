@@ -10,7 +10,6 @@ import pytest
 import fenkit.detectors as detectors_module
 from fenkit.datasets import ProcessDataset, ScalerStats, SyntheticConfig, generate_synthetic
 from fenkit.detectors import (
-    DetectorBank,
     DetectorBankConfig,
     KpcaDetector,
     MdDetector,
@@ -24,6 +23,7 @@ from fenkit.detectors import (
     fit_pca_detector,
     kernel_matrix,
     median_pairwise_distance,
+    member_feature_names,
     score_dpca,
     score_kpca,
     score_md,
@@ -376,14 +376,17 @@ class TestKpca:
             fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
         assert shapes == [(200, 200)]
 
-    @pytest.mark.parametrize("kernel", ["poly", "cosine"])
+    @pytest.mark.parametrize("kernel", ["poly", "cosine", "rbf"])
     def test_constant_training_data_rejected_on_both_paths(self, monkeypatch, kernel):
-        data = as_dataset(np.full((50, 3), 2.0))
-        with pytest.raises(ValueError, match="degenerate kernel matrix"):
-            fit_kpca_detector(data, kernel)
-        self.force_dual(monkeypatch)
-        with pytest.raises(ValueError, match="degenerate kernel matrix"):
-            fit_kpca_detector(data, kernel)
+        """The column mean of a constant such as 3.7 is off by rounding,
+        so standardizing leaves noise a kernel fit would model; every
+        exactly constant input fails by name instead."""
+        for dual in (False, True):
+            if dual:
+                self.force_dual(monkeypatch)
+            for constant in (0.0, 3.7, 0.1):
+                with pytest.raises(ValueError, match="all columns are constant"):
+                    fit_kpca_detector(as_dataset(np.full((200, 3), constant)), kernel)
 
     def test_nan_kernel_matrix_rejected(self):
         """A fractional power of a negative kernel base is NaN; the fit
@@ -410,29 +413,27 @@ class TestKpca:
 
 class TestBank:
     def test_default_bank_has_seven_features(self):
-        bank = fit_detector_bank(correlated_data(38))
-        assert len(bank.feature_names) == 7
-        assert bank.feature_names == ("pca_t2", "pca_q", "dpca_t2", "dpca_q",
-                                      "md1", "md2", "md3")
+        data = correlated_data(38)
+        bank = fit_detector_bank(data)
+        assert [type(d) for d in bank.detectors] == [PcaDetector] * 2 + [MdDetector] * 3
+        assert sum(detector_features(d, data.values).shape[1]
+                   for d in bank.detectors) == 7
 
     def test_names_follow_members_at_lag_zero(self):
         """A dpca member fitted at lag 0 keeps its own names, so no two
-        columns share one."""
-        bank = fit_detector_bank(correlated_data(38), DetectorBankConfig(dpca_lags=0))
-        assert bank.feature_names == ("pca_t2", "pca_q", "dpca_t2", "dpca_q",
-                                      "md1", "md2", "md3")
+        of the seven columns share one."""
+        config = DetectorBankConfig(dpca_lags=0)
+        bank = fit_detector_bank(correlated_data(38), config)
+        names = [name for member in config.members for name in member_feature_names(member)]
+        assert names == ["pca_t2", "pca_q", "dpca_t2", "dpca_q", "md1", "md2", "md3"]
+        assert [d.lags for d in bank.detectors[:2]] == [0, 0]
 
     def test_feature_counts_sum(self):
         data = correlated_data(39)
-        bank = fit_detector_bank(data)
-        assert sum(detector_features(d, data.values).shape[1]
-                   for d in bank.detectors) == len(bank.feature_names)
-
-    def test_name_count_must_match_columns(self):
-        """Two columns per PCA detector, one per MD detector."""
-        bank = fit_detector_bank(correlated_data(39))
-        with pytest.raises(ValueError, match="7 detector features but 6 names"):
-            DetectorBank(bank.detectors, bank.feature_names[:-1])
+        config = DetectorBankConfig()
+        bank = fit_detector_bank(data, config)
+        assert [detector_features(d, data.values).shape[1] for d in bank.detectors] == [
+            len(member_feature_names(member)) for member in config.members]
 
     def test_bank_determinism(self):
         data = correlated_data(40)
@@ -446,8 +447,8 @@ class TestBank:
     def test_single_member_bank(self):
         data = correlated_data(42)
         bank = fit_detector_bank(data, DetectorBankConfig(members=("md1",)))
-        assert len(bank.feature_names) == 1
-        assert bank.feature_names == ("md1",)
+        assert len(bank.detectors) == 1
+        assert bank.detectors[0].variant == "MD1"
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -464,7 +465,8 @@ class TestBank:
                                                 n_test=100, seed=43))
         train, _ = ds.split(500)
         bank = fit_detector_bank(train)
-        assert len(bank.feature_names) == 7
+        assert sum(detector_features(d, train.values).shape[1]
+                   for d in bank.detectors) == 7
 
     def test_md2_fraction_reaches_the_detector(self):
         """The configured MD2 variance fraction controls the retained

@@ -238,7 +238,7 @@ EMPTY_ARRAY = '{"type": "ndarray", "shape": [0], "offset": 0}'
 # Arrays of the single 1.0 in the data block that write_header appends.
 ONE = '{"type": "ndarray", "shape": [1], "offset": 0}'
 ONE_BY_ONE = '{"type": "ndarray", "shape": [1, 1], "offset": 0}'
-MD1_BANK = ('{"type": "DetectorBank", "feature_names": ["md1"], "detectors": '
+MD1_BANK = ('{"type": "DetectorBank", "detectors": '
             '[{"type": "MdDetector", "variant": "MD1", "mean": %s, '
             '"inverse_covariance": %s, "scaler": {"type": "ScalerStats", '
             '"mean": %s, "std": %s}}]}' % (ONE, ONE_BY_ONE, ONE, ONE))
@@ -353,11 +353,11 @@ class TestModelFile:
             load(path)
 
     def test_old_version_asks_for_refit(self, fitted, tmp_path):
-        """Version-1 and version-2 files are not read; the message names
-        the version and says to refit."""
+        """Files of versions 1 to 3 are not read; the message names the
+        version and says to refit."""
         path = tmp_path / "model.fenet"
         save(fitted, path)
-        for version in (1, 2):
+        for version in (1, 2, 3):
             body = bytearray(path.read_bytes()[:-32])
             struct.pack_into("<I", body, len(MAGIC), version)
             path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
@@ -367,14 +367,13 @@ class TestModelFile:
     @pytest.mark.parametrize("header, extra_length, message", [
         pytest.param(model_header(bank="5"), 0, "'bank' of FenetModel holds int",
                      id="bank-not-a-bank"),
-        pytest.param(model_header(bank='{"type": "DetectorBank", "detectors": [], '
-                                       '"feature_names": []}'), 0,
+        pytest.param(model_header(bank='{"type": "DetectorBank", "detectors": []}'), 0,
                      "bank needs at least one detector", id="empty-bank"),
         pytest.param(model_header(layers="[5]"), 0,
                      "'layers' of FenetModel holds tuple", id="layer-not-a-layer"),
         pytest.param(model_header(bank=(
-            '{"type": "DetectorBank", "feature_names": ["pca_t2", "pca_q"], '
-            '"detectors": [{"type": "PcaDetector", "projection": %s, '
+            '{"type": "DetectorBank", "detectors": [{"type": "PcaDetector", '
+            '"projection": %s, '
             '"retained_eigenvalues": %s, "scaler": {"type": "ScalerStats", '
             '"mean": %s, "std": %s}, "lags": 1.5}]}'
             % ((EMPTY_ARRAY,) * 4))), 0, "'lags' of PcaDetector holds float",
@@ -405,16 +404,18 @@ class TestModelFile:
         pytest.param(model_header()[:-1] + ', "format_version": 2}', 0,
                      "unknown field 'format_version' in FenetModel",
                      id="v2-format-version"),
+        pytest.param(model_header(bank=MD1_BANK.replace(
+            '"detectors"', '"feature_names": ["md1"], "detectors"')), 0,
+            "unknown field 'feature_names' in DetectorBank", id="v3-feature-names"),
         pytest.param(model_header(bank=(
-            '{"type": "DetectorBank", "feature_names": ["pca_t2", "pca_q"], '
-            '"detectors": [{"type": "PcaDetector", "projection": %s, '
+            '{"type": "DetectorBank", "detectors": [{"type": "PcaDetector", '
+            '"projection": %s, '
             '"retained_eigenvalues": %s, "scaler": {"type": "ScalerStats", '
             '"mean": %s, "std": %s}, "t": 0, "lags": 0}]}'
             % ((EMPTY_ARRAY,) * 4))), 0, "unknown field 't' in PcaDetector",
             id="v2-pca-t"),
         pytest.param(model_header(bank=(
-            '{"type": "DetectorBank", "feature_names": ["kpca_rbf_t2"], '
-            '"detectors": [{"type": "KpcaDetector"}]}')), 0,
+            '{"type": "DetectorBank", "detectors": [{"type": "KpcaDetector"}]}')), 0,
             "unknown type 'KpcaDetector'", id="kpca-in-bank"),
         pytest.param(model_header().replace('"limit": 0.0', '"limit": NaN'), 0,
                      "limit must be finite", id="nan-limit"),

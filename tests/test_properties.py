@@ -1,8 +1,10 @@
-"""Property tests for fenkit's files: generated configs, recipes and
-report cells survive a write/read round trip, any unknown key in any
-section is rejected by name, a checksum-valid model file with a mutated
-header loads or raises ValueError, and a CSV export with malformed rows
-loads or raises ValueError naming a line."""
+"""Property tests for fenkit's files and window spectra: generated
+configs, recipes and report cells survive a write/read round trip, any
+unknown key in any section is rejected by name, a checksum-valid model
+file with a mutated header loads or raises ValueError, a CSV export with
+malformed rows loads or raises ValueError naming a line, and constant,
+collinear and rank-deficient windows give finite spectra, zero where a
+window is constant."""
 
 import configparser
 import copy
@@ -15,12 +17,16 @@ import struct
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import per_subset_spectra
+
+from fenkit import transform
 from fenkit.autoencoder import VARIANT_KINDS, TrainConfig, Variant
 from fenkit.datasets import (
     FAULT_TYPES,
@@ -51,7 +57,8 @@ from fenkit.pipeline import (
     save,
     write_pipeline_config,
 )
-from fenkit.transform import LayerConfig
+from fenkit.ensemble import FeatureMatrix
+from fenkit.transform import LayerConfig, build_fused_matrix
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -386,3 +393,52 @@ class TestCsvRows:
             else:
                 with pytest.raises(ValueError, match=f"line {bad}[:,]"):
                     load_csv(path)
+
+
+MODERATE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def degenerate_windows(draw):
+    """(values, subsets, window_width) whose columns are all constant,
+    collinear or of rank below the column count, with an optional run of
+    rows where every column holds one constant."""
+    width = draw(st.integers(2, 12))
+    m = draw(st.integers(1, min(6, width - 1)))
+    n = width + draw(st.integers(0, 30))
+    rng = np.random.default_rng(draw(SEEDS))
+    kind = draw(st.sampled_from(("constant", "collinear", "rank_deficient")))
+    if kind == "constant":
+        values = np.full((n, m), draw(MODERATE))
+    elif kind == "collinear":
+        scales = np.array(draw(st.lists(MODERATE, min_size=m, max_size=m)))
+        values = rng.standard_normal((n, 1)) * scales + draw(MODERATE)
+    else:
+        rank = draw(st.integers(1, m))
+        values = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+    start = draw(st.integers(0, n - 1))
+    values[start:start + draw(st.integers(0, n))] = draw(MODERATE)
+    subsets = draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True).map(tuple),
+        min_size=1, max_size=4))
+    return values, subsets, width
+
+
+class TestWindowSpectra:
+    @SETTINGS
+    @given(degenerate_windows(), st.integers(2, 8))
+    def test_degenerate_windows(self, case, block_windows):
+        """Finite, zero on every constant window, and byte-equal to one
+        decomposition per subset, at any block size."""
+        values, subsets, width = case
+        with mock.patch.object(transform, "_BLOCK_WINDOWS", block_windows):
+            fused = build_fused_matrix(FeatureMatrix(values), subsets, width).values
+        assert np.all(np.isfinite(fused))
+        assert fused.tobytes() == per_subset_spectra(values, subsets, width).tobytes()
+        column = 0
+        for subset in subsets:
+            windows = np.lib.stride_tricks.sliding_window_view(
+                values[:, list(subset)], width, axis=0)
+            constant = np.all(windows == windows[:, :1, :1], axis=(1, 2))
+            assert np.all(fused[constant, column:column + len(subset)] == 0.0)
+            column += len(subset)

@@ -3,13 +3,17 @@ against the Gram oracle, fusion bookkeeping, PCA reduction, and the full
 fit/apply cycle with its determinism and alignment guarantees."""
 
 import math
+import sys
+import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import gram_singular_values
+from helpers import gram_singular_values, per_subset_spectra
 
+from fenkit import transform
 from fenkit.autoencoder import TrainConfig, Variant
 from fenkit.ensemble import FeatureMatrix
 from fenkit.transform import (
@@ -174,6 +178,68 @@ class TestBuildFusedMatrix:
                             offset=9)
         fused = build_fused_matrix(fm, [(0, 1)], window_width=10)
         assert fused.sample_offset == 18
+
+
+class TestBlockedSpectra:
+    """The spectra run in blocks of windows on a thread pool; the bytes
+    equal one decomposition call over each subset's whole stack."""
+
+    @staticmethod
+    def assert_matches_reference(fm, subsets, window_width):
+        fused = build_fused_matrix(fm, subsets, window_width)
+        reference = per_subset_spectra(fm.values, subsets, window_width)
+        assert fused.values.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("remainder", [0, 1, 2])
+    def test_trailing_block_remainders(self, remainder):
+        """A lone trailing window would reduce its pooled mean in another
+        order than inside a stack, so it joins the block before it."""
+        rng = np.random.default_rng(30)
+        values = np.cumsum(rng.standard_normal((149 + 2 * transform._BLOCK_WINDOWS
+                                                + remainder, 7)), axis=0) + 3.0
+        values[:, 4] = 2.5
+        subsets = [(0, 1, 2, 3, 4), (1, 3, 4, 5, 6), (0, 2, 4, 5, 6)]
+        self.assert_matches_reference(feature_matrix(values), subsets, 150)
+
+    @pytest.mark.parametrize("m, count", [(7, 21), (20, 30)])
+    def test_deployed_shapes(self, m, count):
+        rng = np.random.default_rng(31)
+        fm = feature_matrix(np.cumsum(rng.standard_normal((700, m)), axis=0))
+        subsets = select_column_subsets(m, 5, 30, seed=3)
+        assert len(subsets) == count
+        self.assert_matches_reference(fm, subsets, 150)
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        """Eight workers writing their column blocks of one output under a
+        short switch interval still give the reference bytes."""
+        monkeypatch.setattr(transform, "_cpu_count", lambda: 8)
+        rng = np.random.default_rng(33)
+        fm = feature_matrix(np.cumsum(rng.standard_normal((300, 7)), axis=0))
+        subsets = select_column_subsets(7, 3, 30, seed=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.assert_matches_reference(fm, subsets, 40)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pool_closed_on_success_and_error(self):
+        """No worker thread outlives the call, and a worker's error
+        reaches the caller."""
+        values = np.random.default_rng(32).standard_normal((60, 4))
+        subsets = [(0, 1), (1, 2), (2, 3)]
+        before = threading.active_count()
+        build_fused_matrix(feature_matrix(values), subsets, 20)
+        assert threading.active_count() == before
+        values[45, 2] = np.nan
+        stand_in = SimpleNamespace(values=values, n_samples=60, sample_offset=0)
+        with pytest.raises(ValueError, match="requires finite entries"):
+            build_fused_matrix(stand_in, subsets, 20)
+        assert threading.active_count() == before
+
+    def test_no_subsets_rejected(self):
+        with pytest.raises(ValueError, match="column subset"):
+            build_fused_matrix(feature_matrix(np.zeros((30, 2))), [], 10)
 
 
 class TestFitPcaReduction:
