@@ -202,61 +202,66 @@ def init_autoencoder(input_dim: int, code_dim: int, variant: Variant, seed: int,
     return Autoencoder(tuple(encoder), tuple(decoder), variant, code_dim)
 
 
-def _as_specs(layers) -> list:
-    return [(layer.weights, layer.bias, layer.activation) for layer in layers]
-
-
-def _run_stack(specs, batch):
-    """Forward through a layer stack, caching inputs and pre-activations."""
+def _run_stack(layers, params, batch):
+    """Forward through a layer stack whose weights and biases alternate in
+    params, caching each layer's input and pre-activation."""
     caches = []
     a = batch
-    for weights, bias, activation in specs:
+    for layer, weights, bias in zip(layers, params[0::2], params[1::2]):
         z = a @ weights + bias
         caches.append((a, z))
-        a = _activate(z, activation)
+        a = _activate(z, layer.activation)
     return a, caches
 
 
-def _backprop_stack(specs, caches, upstream, input_gradient=True):
-    """Gradient of the stack given dLoss/d(stack output); returns
-    per-layer (dW, db) plus dLoss/d(stack input), which is None unless
-    input_gradient is set."""
-    grads = [None] * len(specs)
+def _backprop_stack(layers, params, caches, upstream, input_gradient=True):
+    """Gradient of the stack given dLoss/d(stack output); returns the
+    (dW, db) of every layer, in params order, plus dLoss/d(stack input),
+    which is None unless input_gradient is set."""
+    grads = [None] * (2 * len(layers))
     da = upstream
-    for k in range(len(specs) - 1, -1, -1):
-        weights, _, activation = specs[k]
+    for k in range(len(layers) - 1, -1, -1):
+        activation = layers[k].activation
         a_prev, z = caches[k]
         delta = da if activation == "linear" else da * _activation_derivative(z, activation)
-        grads[k] = (a_prev.T @ delta, delta.sum(axis=0))
-        da = delta @ weights.T if k or input_gradient else None
+        grads[2 * k], grads[2 * k + 1] = a_prev.T @ delta, delta.sum(axis=0)
+        da = delta @ params[2 * k].T if k or input_gradient else None
     return grads, da
 
 
-def _split_head(head, code_dim):
-    return head[:, :code_dim], head[:, code_dim:]
+def _encode(ae: Autoencoder, params: list, batch, noise=None) -> tuple:
+    """The encoder step of every pass: (code, encoder caches, head).
+
+    head is None except for the variational variant, where it is
+    (mu, logvar, sigma) and the code is mu + sigma * noise; when noise
+    is None, the code is the posterior mean mu and sigma is None.
+    """
+    head, caches = _run_stack(ae.encoder_layers, params, batch)
+    if ae.variant.kind != "variational":
+        return head, caches, None
+    mu, logvar = head[:, :ae.code_dim], head[:, ae.code_dim:]
+    if noise is None:
+        return mu, caches, (mu, logvar, None)
+    sigma = np.exp(0.5 * logvar)
+    return mu + sigma * noise, caches, (mu, logvar, sigma)
 
 
 # Overflow surfaces as non-finite values that callers detect and report;
 # the IEEE warnings would only duplicate that.
 @np.errstate(over="ignore", invalid="ignore")
-def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
-              want_grads):
-    """Shared forward/backward core for loss() and gradients().
+def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads):
+    """Shared forward/backward core of loss(), gradients() and train(),
+    over a parameters()-ordered list; the gradients come in that order.
 
     Reconstruction error and the variational KL sum over dimensions and
     average over batch rows; the code L1 penalty averages over rows and
     code dimensions; the sparse KL sums per-unit activity penalties.
     """
     n_rows = batch.shape[0]
-    head, enc_caches = _run_stack(enc_specs, batch)
-    mu = logvar = sigma = None
-    if variant.kind == "variational":
-        mu, logvar = _split_head(head, code_dim)
-        sigma = np.exp(0.5 * logvar)
-        code = mu if noise is None else mu + sigma * noise
-    else:
-        code = head
-    recon, dec_caches = _run_stack(dec_specs, code)
+    variant = ae.variant
+    dec_params = params[2 * len(ae.encoder_layers):]
+    code, enc_caches, head = _encode(ae, params, batch, noise)
+    recon, dec_caches = _run_stack(ae.decoder_layers, dec_params, code)
 
     err = recon - batch
     mse = float((err * err).sum() / n_rows)
@@ -273,6 +278,7 @@ def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
         kl = rho * np.log(rho / rho_hat) + (1 - rho) * np.log((1 - rho) / (1 - rho_hat))
         parts["kl_sparse"] = float(variant.beta * kl.sum())
     else:
+        mu, logvar, sigma = head
         kl_terms = 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar)
         parts["kl_vae"] = float(kl_terms.sum() / n_rows)
     total = float(sum(parts.values()))
@@ -281,7 +287,7 @@ def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
         return total, parts, None
 
     d_recon = 2.0 * err / n_rows
-    dec_grads, d_code = _backprop_stack(dec_specs, dec_caches, d_recon)
+    dec_grads, d_code = _backprop_stack(ae.decoder_layers, dec_params, dec_caches, d_recon)
 
     if variant.kind == "plain":
         d_code = d_code + l1_weight * np.sign(code) / code.size
@@ -298,12 +304,9 @@ def _evaluate(enc_specs, dec_specs, variant, code_dim, batch, l1_weight, noise,
             d_logvar = d_logvar + d_code * 0.5 * sigma * noise
         d_head = np.concatenate([d_mu, d_logvar], axis=1)
 
-    enc_grads, _ = _backprop_stack(enc_specs, enc_caches, d_head, input_gradient=False)
-
-    flat = []
-    for dw, db in enc_grads + dec_grads:
-        flat.extend((dw, db))
-    return total, parts, flat
+    enc_grads, _ = _backprop_stack(ae.encoder_layers, params, enc_caches, d_head,
+                                   input_gradient=False)
+    return total, parts, enc_grads + dec_grads
 
 
 def _check_batch(ae: Autoencoder, batch) -> np.ndarray:
@@ -322,11 +325,10 @@ def forward(ae: Autoencoder, x: np.ndarray) -> tuple:
     row per sample, sampling-free.  The variational code is the
     posterior mean."""
     batch = _check_batch(ae, x)
+    params = parameters(ae)
     with np.errstate(over="ignore", invalid="ignore"):
-        head, _ = _run_stack(_as_specs(ae.encoder_layers), batch)
-        code = (_split_head(head, ae.code_dim)[0]
-                if ae.variant.kind == "variational" else head)
-        recon, _ = _run_stack(_as_specs(ae.decoder_layers), code)
+        code, _, _ = _encode(ae, params, batch)
+        recon, _ = _run_stack(ae.decoder_layers, params[2 * len(ae.encoder_layers):], code)
     if not (np.all(np.isfinite(code)) and np.all(np.isfinite(recon))):
         raise ValueError("non-finite values in forward pass")
     return code, recon
@@ -340,10 +342,8 @@ def loss(ae: Autoencoder, batch, l1_weight: float = 1.0, noise=None) -> tuple:
     deterministic.
     """
     batch = _check_batch(ae, batch)
-    total, parts, _ = _evaluate(
-        _as_specs(ae.encoder_layers), _as_specs(ae.decoder_layers),
-        ae.variant, ae.code_dim, batch, l1_weight, noise, want_grads=False,
-    )
+    total, parts, _ = _evaluate(ae, parameters(ae), batch, l1_weight, noise,
+                                want_grads=False)
     return total, parts
 
 
@@ -352,12 +352,9 @@ def gradients(ae: Autoencoder, batch, l1_weight: float = 1.0, noise=None) -> lis
     decoder, weights before bias within each layer.  The L1 subgradient
     at zero is zero."""
     batch = _check_batch(ae, batch)
-    _, _, grads = _evaluate(
-        _as_specs(ae.encoder_layers), _as_specs(ae.decoder_layers),
-        ae.variant, ae.code_dim, batch, l1_weight, noise, want_grads=True,
-    )
-    names = _parameter_names(ae)
-    for name, grad in zip(names, grads):
+    _, _, grads = _evaluate(ae, parameters(ae), batch, l1_weight, noise,
+                            want_grads=True)
+    for name, grad in zip(_parameter_names(ae), grads):
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite gradient for {name}")
     return grads
@@ -384,16 +381,10 @@ def with_parameters(ae: Autoencoder, params: list) -> Autoencoder:
     expected = len(parameters(ae))
     if len(params) != expected:
         raise ValueError(f"expected {expected} parameter arrays, got {len(params)}")
-    stacks = []
-    cursor = 0
-    for stack in (ae.encoder_layers, ae.decoder_layers):
-        rebuilt = []
-        for layer in stack:
-            weights, bias = params[cursor], params[cursor + 1]
-            cursor += 2
-            rebuilt.append(Layer(weights, bias, layer.activation))
-        stacks.append(tuple(rebuilt))
-    return Autoencoder(stacks[0], stacks[1], ae.variant, ae.code_dim)
+    layers = [Layer(weights, bias, layer.activation) for layer, weights, bias
+              in zip(ae.encoder_layers + ae.decoder_layers, params[0::2], params[1::2])]
+    n_encoder = len(ae.encoder_layers)
+    return Autoencoder(layers[:n_encoder], layers[n_encoder:], ae.variant, ae.code_dim)
 
 
 def init_adam(params: list) -> AdamState:
@@ -431,9 +422,7 @@ def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
     """
     batch = _check_batch(ae, data)
     rng = np.random.default_rng(config.seed)
-    enc_specs = _as_specs(ae.encoder_layers)
-    dec_specs = _as_specs(ae.decoder_layers)
-    params = [spec[i] for spec in enc_specs + dec_specs for i in (0, 1)]
+    params = parameters(ae)
     state = init_adam(params)
     history = []
 
@@ -441,8 +430,8 @@ def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
         noise = None
         if ae.variant.kind == "variational":
             noise = rng.standard_normal((batch.shape[0], ae.code_dim))
-        total, _, grads = _evaluate(enc_specs, dec_specs, ae.variant, ae.code_dim,
-                                    batch, config.l1_weight, noise, want_grads=True)
+        total, _, grads = _evaluate(ae, params, batch, config.l1_weight, noise,
+                                    want_grads=True)
         if not np.isfinite(total):
             raise TrainingDivergedError(history)
         history.append(total)
@@ -450,9 +439,6 @@ def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
             raise TrainingDivergedError(history)
         params, state = adam_step(params, grads, state, config.learning_rate,
                                   config.beta1, config.beta2, config.eps_adam)
-        it = iter(params)
-        enc_specs = [(next(it), next(it), spec[2]) for spec in enc_specs]
-        dec_specs = [(next(it), next(it), spec[2]) for spec in dec_specs]
 
     if any(not np.all(np.isfinite(p)) for p in params):
         raise TrainingDivergedError(history)

@@ -21,6 +21,7 @@ from .numerics import (
     empirical_quantile,
     freeze_arrays,
     principal_subspace,
+    require_variation,
     retained_count,
     sym_eig,
 )
@@ -358,8 +359,7 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     deterministic stride.  The rbf bandwidth defaults to the median
     pairwise distance of the retained rows.
     """
-    if np.all(train.values == train.values[:1]):
-        raise ValueError("degenerate input: all columns are constant")
+    require_variation(train.values)
     scaler = fit_standardize(train)
     rows = _standardized(train.values, scaler)
     if rows.shape[0] > max_train_rows:

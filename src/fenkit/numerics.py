@@ -97,10 +97,20 @@ def retained_count(eigenvalues: np.ndarray, variance_fraction: float) -> int:
     return rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
 
 
+def require_variation(data: np.ndarray) -> None:
+    """ValueError when every column of data is exactly constant.  Such a
+    matrix need not centre to exact zeros, as its column means may round
+    off the constant, and a fit would then keep components of rounding
+    noise."""
+    if np.all(data == data[:1]):
+        raise ValueError("degenerate input: all columns are constant")
+
+
 def principal_subspace(data: np.ndarray, variance_fraction: float) -> tuple:
     """(loadings, eigenvalues) of the sample covariance spanning the
     requested variance fraction (see retained_count); ValueError when no
     column varies."""
+    require_variation(data)
     eig = sym_eig(covariance(data))
     if eig.eigenvalues[0] <= 0.0:
         raise ValueError("degenerate input: all columns are constant")

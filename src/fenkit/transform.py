@@ -162,15 +162,33 @@ def window_singular_values(features: FeatureMatrix, q: int, subset, window_width
 
 
 def _normalized_singular_values(windows: np.ndarray) -> np.ndarray:
-    """Pooled-scalar normalization then SVD over a (batch, w, h) stack.
+    """Pooled-scalar normalization then SVD over a (batch, w, h) stack."""
+    return singular_values(_normalized(windows))
+
+
+# A finite window whose pooled variance overflows is mended below; a
+# window with a non-finite entry stays non-finite for singular_values
+# to reject.
+@np.errstate(over="ignore", invalid="ignore")
+def _normalized(windows: np.ndarray) -> np.ndarray:
+    """Each window minus its pooled mean, over its pooled std.
+
     A window whose entries are all equal is centred on that entry, as its
-    pooled mean need not round to it; its spectra are then exactly zero."""
+    pooled mean need not round to it; its spectra are then exactly zero.
+    A finite window whose std overflows is divided by its largest
+    magnitude first, which leaves its normalised form unchanged.
+    """
     first = windows[:, :1, :1]
     mean = np.where(np.all(windows == first, axis=(1, 2), keepdims=True), first,
                     windows.mean(axis=(1, 2), keepdims=True))
     std = windows.std(axis=(1, 2), ddof=1, keepdims=True)
     normalized = (windows - mean) / np.maximum(std, EPS_STD)
-    return singular_values(normalized)
+    if not np.all(np.isfinite(std)):
+        huge = ~np.isfinite(std[:, 0, 0]) & np.all(np.isfinite(windows), axis=(1, 2))
+        scaled = windows[huge]
+        normalized[huge] = _normalized(
+            scaled / np.abs(scaled).max(axis=(1, 2), keepdims=True))
+    return normalized
 
 
 def _sliding_windows(values: np.ndarray, window_width: int) -> np.ndarray:

@@ -410,6 +410,31 @@ class TestTrain:
         assert excinfo.value.history.size >= 1
         assert np.all(np.isfinite(excinfo.value.history))
 
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE], ids=lambda v: v.kind)
+    def test_matches_public_gradient_loop(self, variant):
+        """train is gradients() plus adam_step over a parameters() list,
+        byte for byte, with the variational noise drawn from the config
+        seed; history[i] is the loss before step i."""
+        data = np.random.default_rng(41).standard_normal((25, 6))
+        config = TrainConfig(epochs=3, l1_weight=0.5, seed=13)
+        ae = small_net(variant, seed=42)
+        trained, history = train(ae, data, config)
+
+        rng = np.random.default_rng(config.seed)
+        params = parameters(ae)
+        state = init_adam(params)
+        for epoch in range(config.epochs):
+            noise = (rng.standard_normal((len(data), ae.code_dim))
+                     if variant.kind == "variational" else None)
+            current = with_parameters(ae, params)
+            assert history[epoch] == loss(current, data, config.l1_weight, noise)[0]
+            grads = gradients(current, data, config.l1_weight, noise)
+            params, state = adam_step(params, grads, state, config.learning_rate,
+                                      config.beta1, config.beta2, config.eps_adam)
+        assert len(history) == config.epochs
+        for expected, actual in zip(params, parameters(trained), strict=True):
+            assert expected.tobytes() == actual.tobytes()
+
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train(small_net(PLAIN), np.zeros((4, 5)), TrainConfig(epochs=1))

@@ -12,6 +12,7 @@ from fenkit.numerics import (
     column_std,
     covariance,
     empirical_quantile,
+    principal_subspace,
     singular_values,
     sym_eig,
 )
@@ -48,6 +49,20 @@ class TestCovariance:
     def test_single_row_rejected(self):
         with pytest.raises(ValueError, match="2 rows"):
             covariance(np.ones((1, 3)))
+
+
+class TestPrincipalSubspace:
+    def test_constant_columns_rejected(self):
+        """Each column constant, at its own value: no direction varies."""
+        data = np.tile([3.7, 0.1, -2.2, 1 / 3], (200, 1))
+        with pytest.raises(ValueError, match="all columns are constant"):
+            principal_subspace(data, 0.99)
+
+    def test_one_varying_entry_fits(self):
+        data = np.tile([3.7, 0.1], (50, 1))
+        data[7, 1] = 0.2
+        loadings, eigenvalues = principal_subspace(data, 0.99)
+        assert loadings.shape == (2, 1) and eigenvalues[0] > 0.0
 
 
 class TestSymEig:

@@ -2,9 +2,10 @@
 configs, recipes and report cells survive a write/read round trip, any
 unknown key in any section is rejected by name, a checksum-valid model
 file with a mutated header loads or raises ValueError, a CSV export with
-malformed rows loads or raises ValueError naming a line, and constant,
+malformed rows loads or raises ValueError naming a line, constant,
 collinear and rank-deficient windows give finite spectra, zero where a
-window is constant."""
+window is constant, and such codes give a finite PCA reduction and
+decision or raise ValueError."""
 
 import configparser
 import copy
@@ -36,6 +37,7 @@ from fenkit.datasets import (
     read_synthetic_config,
     write_sidecar,
 )
+from fenkit.decision import detection_index, fit_decision
 from fenkit.detectors import BANK_MEMBERS, DetectorBankConfig
 from fenkit.evaluation import (
     ExperimentReport,
@@ -58,7 +60,7 @@ from fenkit.pipeline import (
     write_pipeline_config,
 )
 from fenkit.ensemble import FeatureMatrix
-from fenkit.transform import LayerConfig, build_fused_matrix
+from fenkit.transform import LayerConfig, build_fused_matrix, fit_pca_reduction
 
 SETTINGS = settings(max_examples=25, derandomize=True, deadline=None)
 
@@ -442,3 +444,50 @@ class TestWindowSpectra:
             constant = np.all(windows == windows[:, :1, :1], axis=(1, 2))
             assert np.all(fused[constant, column:column + len(subset)] == 0.0)
             column += len(subset)
+
+
+@st.composite
+def degenerate_codes(draw):
+    """Code matrices that are constant, collinear, rank-deficient or hold
+    one constant column, with entries within +-1e3."""
+    n = draw(st.integers(2, 60))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(SEEDS))
+    kind = draw(st.sampled_from(("constant", "collinear", "rank_deficient",
+                                 "constant_column")))
+    if kind == "constant":
+        return np.full((n, m), draw(MODERATE))
+    if kind == "collinear":
+        scales = np.array(draw(st.lists(MODERATE, min_size=m, max_size=m)))
+        codes = rng.standard_normal((n, 1)) * scales + draw(MODERATE)
+    elif kind == "rank_deficient":
+        rank = draw(st.integers(1, m))
+        codes = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, m))
+    else:
+        codes = rng.standard_normal((n, m))
+        codes[:, draw(st.integers(0, m - 1))] = draw(MODERATE)
+    peak = np.abs(codes).max()
+    return codes * (1e3 / peak) if peak > 1e3 else codes
+
+
+class TestDegenerateCodes:
+    @SETTINGS
+    @given(degenerate_codes(), unit_interval(), st.integers(1, 3))
+    def test_reduction_and_decision(self, codes, fraction, norm_order):
+        """Finite output or ValueError from both fits; an exactly
+        constant matrix raises in the PCA reduction."""
+        constant = np.all(codes == codes[:1])
+        try:
+            reduction, reduced = fit_pca_reduction(codes, fraction)
+        except ValueError as error:
+            assert not constant or "all columns are constant" in str(error)
+        else:
+            assert not constant, "a constant code matrix was reduced"
+            assert np.all(np.isfinite(reduction.projection))
+            assert np.all(np.isfinite(reduced))
+        try:
+            decision = fit_decision(codes, norm_order=norm_order)
+        except ValueError:
+            return
+        assert np.all(np.isfinite(decision.mean)) and np.isfinite(decision.limit)
+        assert np.all(np.isfinite(detection_index(decision, codes)))

@@ -5,6 +5,7 @@ fit/apply cycle with its determinism and alignment guarantees."""
 import math
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -97,6 +98,32 @@ class TestWindowSingularValues:
         fm = feature_matrix(np.full((25, 3), 7.0))
         values = window_singular_values(fm, q=24, subset=(0, 1, 2), window_width=25)
         np.testing.assert_array_equal(values, 0.0)
+
+    def test_huge_entries_keep_their_spectra(self):
+        """Squared deviations of entries near 1e160 overflow the pooled
+        std, which read every such window as 0/0/0; the spectra are scale
+        invariant, so they must match the unscaled matrix's, silently."""
+        values = np.random.default_rng(9).standard_normal((40, 3))
+        reference = build_fused_matrix(feature_matrix(values), [(0, 1, 2)], 20).values
+        for scale in (1e150, 1e160, 1e200, 1e300, 1e308 / np.abs(values).max()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fused = build_fused_matrix(feature_matrix(values * scale), [(0, 1, 2)], 20)
+            np.testing.assert_allclose(fused.values, reference, rtol=1e-14)
+
+    def test_huge_rows_rescale_only_their_windows(self):
+        """Windows whose std stays finite keep their bytes beside windows
+        of huge entries, and a NaN still fails by name."""
+        values = np.cumsum(np.random.default_rng(10).standard_normal((60, 3)), axis=0)
+        reference = build_fused_matrix(feature_matrix(values), [(0, 1, 2)], 20).values
+        values[50:] *= 1e200
+        fused = build_fused_matrix(feature_matrix(values), [(0, 1, 2)], 20).values
+        assert fused[:31].tobytes() == reference[:31].tobytes()
+        assert np.all(np.isfinite(fused)) and np.all(fused[31:, 0] > 0.0)
+        values[55, 1] = np.nan
+        stand_in = SimpleNamespace(values=values, n_samples=60, sample_offset=0)
+        with pytest.raises(ValueError, match="requires finite entries"):
+            build_fused_matrix(stand_in, [(0, 1, 2)], 20)
 
     def test_matches_gram_oracle(self):
         rng = np.random.default_rng(5)
@@ -278,6 +305,14 @@ class TestFitPcaReduction:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             fit_pca_reduction(np.full((40, 3), 2.0), 0.95)
+
+    @pytest.mark.parametrize("shape", [(50, 4), (200, 10), (2000, 7)])
+    def test_any_constant_rejected(self, shape):
+        """Column means of a constant such as 3.7 round off it, which left
+        one component of rounding noise; every constant fails by name."""
+        for constant in (0.0, 3.7, 0.1, 1e-3, 123.456, -2.2, 1 / 3):
+            with pytest.raises(ValueError, match="all columns are constant"):
+                fit_pca_reduction(np.full(shape, constant), 0.95)
 
     def test_orthonormality_enforced(self):
         with pytest.raises(ValueError, match="orthonormal"):
