@@ -77,7 +77,6 @@ class Autoencoder:
     encoder_layers: tuple[Layer, ...]
     decoder_layers: tuple[Layer, ...]
     variant: Variant
-    code_dim: int
 
     def __post_init__(self):
         object.__setattr__(self, "encoder_layers", tuple(self.encoder_layers))
@@ -88,23 +87,19 @@ class Autoencoder:
             raise ValueError("code_dim must be positive")
         chain = list(self.encoder_layers) + list(self.decoder_layers)
         for prev, nxt in zip(chain[:-1], chain[1:]):
-            # The variational head is the one legal width break: the
-            # encoder emits mean plus log-variance and the decoder
-            # consumes the sampled code.
-            if prev is self.encoder_layers[-1] and self.variant.kind == "variational":
-                continue
-            if prev.weights.shape[1] != nxt.weights.shape[0]:
+            # The variational head emits mean plus log-variance of the
+            # code the decoder consumes, so twice its width.
+            head = prev is self.encoder_layers[-1] and self.variant.kind == "variational"
+            if prev.weights.shape[1] != nxt.weights.shape[0] * (2 if head else 1):
                 raise ValueError(
                     f"layer dimensions do not chain: {prev.weights.shape} -> {nxt.weights.shape}"
                 )
-        head_dim = self.encoder_layers[-1].weights.shape[1]
-        expected = 2 * self.code_dim if self.variant.kind == "variational" else self.code_dim
-        if head_dim != expected:
-            raise ValueError(f"encoder head emits {head_dim} values, expected {expected}")
-        if self.decoder_layers[0].weights.shape[0] != self.code_dim:
-            raise ValueError("decoder input dim must equal code_dim")
         if self.decoder_layers[-1].weights.shape[1] != self.input_dim:
             raise ValueError("decoder output dim must equal encoder input dim")
+
+    @property
+    def code_dim(self) -> int:
+        return self.decoder_layers[0].weights.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -199,7 +194,7 @@ def init_autoencoder(input_dim: int, code_dim: int, variant: Variant, seed: int,
         fan_in = width
     decoder.append(make_layer(fan_in, input_dim, "linear"))
 
-    return Autoencoder(tuple(encoder), tuple(decoder), variant, code_dim)
+    return Autoencoder(tuple(encoder), tuple(decoder), variant)
 
 
 def _run_stack(layers, params, batch):
@@ -384,7 +379,7 @@ def with_parameters(ae: Autoencoder, params: list) -> Autoencoder:
     layers = [Layer(weights, bias, layer.activation) for layer, weights, bias
               in zip(ae.encoder_layers + ae.decoder_layers, params[0::2], params[1::2])]
     n_encoder = len(ae.encoder_layers)
-    return Autoencoder(layers[:n_encoder], layers[n_encoder:], ae.variant, ae.code_dim)
+    return Autoencoder(layers[:n_encoder], layers[n_encoder:], ae.variant)
 
 
 def init_adam(params: list) -> AdamState:

@@ -81,8 +81,8 @@ def _command_train(args) -> None:
           f"master seed {config.master_seed}")
     features = build_feature_matrix(model.bank, data)
     print(f"detector bank: {features.n_features} features")
-    for index, layer in enumerate(model.layers):
-        total, parts, features = layer_loss(layer, features)
+    for index, (layer, recipe) in enumerate(zip(model.layers, model.config.layers)):
+        total, parts, features = layer_loss(layer, features, recipe.training.l1_weight)
         parts_text = ", ".join(f"{name} {value:.6g}"
                                for name, value in parts.items())
         print(f"layer {index}: {layer.input_features} -> "

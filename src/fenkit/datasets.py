@@ -77,6 +77,8 @@ class ScalerStats:
         std = np.array(self.std, dtype=np.float64)
         if mean.shape != std.shape or mean.ndim != 1:
             raise ValueError("mean/std must be matching 1-d vectors")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(std))):
+            raise ValueError("mean and std must be finite")
         if np.any(std < EPS_STD):
             raise ValueError(f"std entries must be >= {EPS_STD}")
         freeze_arrays(self, mean=mean, std=std)
@@ -179,12 +181,19 @@ def attach_onset_labels(dataset: ProcessDataset, onset: int) -> ProcessDataset:
     return ProcessDataset(dataset.values, labels)
 
 
-def fit_standardize(train: ProcessDataset) -> ScalerStats:
-    """Per-column mean/std of the training set, std floored so constant
+def fit_standardize(values: np.ndarray) -> ScalerStats:
+    """Per-column mean/std of a training matrix, std floored so constant
     (frozen-sensor) columns standardize to zero instead of erroring."""
-    if train.n_samples < 2:
-        raise ValueError("standardization needs at least 2 training rows")
-    return ScalerStats(train.values.mean(axis=0), column_std(train.values))
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] < 2:
+        raise ValueError("standardization needs a matrix of at least 2 rows")
+    std = column_std(values)  # before the mean, which warns where this raises
+    return ScalerStats(values.mean(axis=0), std)
+
+
+def standardized(values: np.ndarray, scaler: ScalerStats) -> np.ndarray:
+    """Rows minus the scaler's mean, over its std."""
+    return (values - scaler.mean) / scaler.std
 
 
 def _coupling_matrix(m: int) -> np.ndarray:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import ProcessDataset, ScalerStats, fit_standardize
+from .datasets import ProcessDataset, ScalerStats, fit_standardize, standardized
 from .numerics import (
     EPS_STD,
-    column_std,
     covariance,
     empirical_quantile,
     freeze_arrays,
@@ -151,10 +150,6 @@ class DetectorBank:
             raise ValueError("bank needs at least one detector")
 
 
-def _standardized(values: np.ndarray, scaler: ScalerStats) -> np.ndarray:
-    return (values - scaler.mean) / scaler.std
-
-
 def _augment_lags(values: np.ndarray, lags: int) -> np.ndarray:
     """Rows [x_t, x_{t-1}, ..., x_{t-lags}] for t = lags..n-1."""
     n = values.shape[0]
@@ -203,9 +198,9 @@ def fit_dpca_detector(train: ProcessDataset, lags: int = 2,
     augmented = _augment_lags(train.values, lags)
     if augmented.shape[0] < 2:
         raise ValueError("not enough rows after lag augmentation")
-    scaler = ScalerStats(augmented.mean(axis=0), column_std(augmented))
+    scaler = fit_standardize(augmented)
     projection, eigenvalues = principal_subspace(
-        _standardized(augmented, scaler), variance_fraction)
+        standardized(augmented, scaler), variance_fraction)
     return PcaDetector(projection, eigenvalues, scaler, lags=lags)
 
 
@@ -214,10 +209,10 @@ def score_dpca(model: PcaDetector, values: np.ndarray) -> tuple:
     squared reconstruction residual of the standardized lag-augmented
     sample; the first `lags` rows reuse the earliest complete window."""
     values = _sample_matrix(values, model)
-    standardized = _standardized(_augment_lags(values, model.lags), model.scaler)
-    scores = standardized @ model.projection
+    rows = standardized(_augment_lags(values, model.lags), model.scaler)
+    scores = rows @ model.projection
     t2 = np.sum(scores * scores / model.retained_eigenvalues, axis=1)
-    residual = standardized - scores @ model.projection.T
+    residual = rows - scores @ model.projection.T
     q = np.sum(residual * residual, axis=1)
     return _pad_head(t2, model.lags), _pad_head(q, model.lags)
 
@@ -226,16 +221,16 @@ def fit_md_detector(train: ProcessDataset, variant: str,
                     md2_variance_fraction: float = 0.95) -> MdDetector:
     if variant not in MD_VARIANTS:
         raise ValueError(f"variant must be one of {MD_VARIANTS}, got {variant!r}")
-    scaler = fit_standardize(train)
-    standardized = _standardized(train.values, scaler)
+    scaler = fit_standardize(train.values)
+    rows = standardized(train.values, scaler)
     projection = None
     if variant == "MD1":
-        space = standardized
+        space = rows
     elif variant == "MD2":
-        projection, _ = principal_subspace(standardized, md2_variance_fraction)
-        space = standardized @ projection
+        projection, _ = principal_subspace(rows, md2_variance_fraction)
+        space = rows @ projection
     else:
-        space = _augment_lags(standardized, 1)
+        space = _augment_lags(rows, 1)
     if space.shape[0] < 2:
         raise ValueError("need at least 2 rows in the detector space")
     inverse = _regularized_inverse(covariance(space))
@@ -252,7 +247,7 @@ def score_md(model: MdDetector, values: np.ndarray) -> np.ndarray:
     """Mahalanobis distance per sample row in the variant's space; MD3's
     first row reuses the earliest complete lag window."""
     values = _sample_matrix(values, model)
-    space = _standardized(values, model.scaler)
+    space = standardized(values, model.scaler)
     if model.variant == "MD3":
         return _pad_head(_mahalanobis(model, _augment_lags(space, 1)), 1)
     if model.variant == "MD2":
@@ -360,8 +355,8 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     pairwise distance of the retained rows.
     """
     require_variation(train.values)
-    scaler = fit_standardize(train)
-    rows = _standardized(train.values, scaler)
+    scaler = fit_standardize(train.values)
+    rows = standardized(train.values, scaler)
     if rows.shape[0] > max_train_rows:
         stride = math.ceil(rows.shape[0] / max_train_rows)
         rows = rows[::stride][:max_train_rows]
@@ -389,9 +384,9 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         centered -= row_mean[None, :]
         centered -= row_mean[:, None]
         centered += grand_mean
-        eig = sym_eig((centered + centered.T) / 2.0)
-        t = _retained_components(eig.eigenvalues, variance_fraction)
-        alphas = eig.eigenvectors[:, :t]
+        eigenvalues, eigenvectors = sym_eig((centered + centered.T) / 2.0)
+        t = _retained_components(eigenvalues, variance_fraction)
+        alphas = eigenvectors[:, :t]
         train_rows = rows
 
     train_scores = centered @ alphas
@@ -402,7 +397,7 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
 
 def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
     """T2 per sample row in the retained kernel eigenspace."""
-    rows = _standardized(_sample_matrix(values, model), model.scaler)
+    rows = standardized(_sample_matrix(values, model), model.scaler)
     if model.train_rows.shape[0] == 0:
         centered = _feature_map(model.kernel, rows, model.degree, model.offset) - model.row_mean
     else:

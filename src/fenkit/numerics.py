@@ -2,11 +2,10 @@
 
 Covariance, symmetric eigendecomposition, singular values and empirical
 quantiles, each with a contract narrow enough to validate against a
-brute-force oracle (see tests).  All variances use the n-1 denominator;
-this is the single place that convention is allowed to live.
+brute-force oracle (see tests).  Every variance uses the n-1 denominator,
+here and where transform._normalized and detectors.fit_kpca_detector
+call ddof=1 on axes of their own.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,17 +25,13 @@ def freeze_arrays(instance, **arrays) -> None:
         object.__setattr__(instance, name, array)
 
 
-@dataclass(frozen=True)
-class SymmetricEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # orthonormal columns, one per eigenvalue
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def column_std(matrix: np.ndarray) -> np.ndarray:
     """Per-column n-1 standard deviation, floored at EPS_STD."""
-    return np.maximum(matrix.std(axis=0, ddof=1), EPS_STD)
+    std = matrix.std(axis=0, ddof=1)
+    if not np.all(np.isfinite(std)):
+        raise ValueError("column std is not finite: a non-finite entry or float64 overflow")
+    return np.maximum(std, EPS_STD)
 
 
 def covariance(data: np.ndarray) -> np.ndarray:
@@ -56,14 +51,20 @@ def covariance(data: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     if n < 2:
         raise ValueError(f"covariance requires at least 2 rows, got {n}")
-    centered = data - data.mean(axis=0)
-    cov = centered.T @ centered / (n - 1)
-    # enforce exact symmetry against accumulated rounding
-    return (cov + cov.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=0)
+        cov = centered.T @ centered / (n - 1)
+        # enforce exact symmetry against accumulated rounding
+        cov = (cov + cov.T) / 2.0
+        # the trace, the eigenvalue sum of a PCA fit, may overflow alone
+        if not (np.all(np.isfinite(cov)) and np.isfinite(np.trace(cov))):
+            raise ValueError("covariance is not finite: a non-finite entry or float64 overflow")
+    return cov
 
 
-def sym_eig(matrix: np.ndarray) -> SymmetricEig:
-    """Eigendecomposition of a symmetric matrix, sorted by descending eigenvalue.
+def sym_eig(matrix: np.ndarray) -> tuple:
+    """(eigenvalues, eigenvectors) of a symmetric matrix, as np.linalg.eigh
+    returns them but sorted by descending eigenvalue.
 
     Raises ValueError if the input is not symmetric within 1e-9.
     """
@@ -77,7 +78,7 @@ def sym_eig(matrix: np.ndarray) -> SymmetricEig:
         matrix = (matrix + matrix.T) / 2.0
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     order = np.argsort(eigenvalues)[::-1]
-    return SymmetricEig(eigenvalues=eigenvalues[order], eigenvectors=eigenvectors[:, order])
+    return eigenvalues[order], eigenvectors[:, order]
 
 
 def retained_count(eigenvalues: np.ndarray, variance_fraction: float) -> int:
@@ -111,11 +112,11 @@ def principal_subspace(data: np.ndarray, variance_fraction: float) -> tuple:
     requested variance fraction (see retained_count); ValueError when no
     column varies."""
     require_variation(data)
-    eig = sym_eig(covariance(data))
-    if eig.eigenvalues[0] <= 0.0:
+    eigenvalues, eigenvectors = sym_eig(covariance(data))
+    if eigenvalues[0] <= 0.0:
         raise ValueError("degenerate input: all columns are constant")
-    t = retained_count(eig.eigenvalues, variance_fraction)
-    return eig.eigenvectors[:, :t], eig.eigenvalues[:t]
+    t = retained_count(eigenvalues, variance_fraction)
+    return eigenvectors[:, :t], eigenvalues[:t]
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:

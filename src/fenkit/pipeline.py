@@ -40,7 +40,7 @@ from .transform import (
 )
 
 MAGIC = b"FENETAE1"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 DEFAULT_LAYER_TEMPLATE = LayerConfig(window_width=150, subset_size=5)
 
@@ -257,8 +257,10 @@ def _decode_array(node: dict, blob: bytes) -> np.ndarray:
     count = math.prod(shape)
     if offset + 8 * count > len(blob):
         raise ValueError("array extends past the data block")
-    return np.frombuffer(blob, dtype="<f8", count=count,
-                         offset=offset).reshape(shape).copy()
+    array = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+    if not np.all(np.isfinite(array)):
+        raise ValueError("array holds a non-finite entry")
+    return array.reshape(shape).copy()
 
 
 def _typed(value, annotation):

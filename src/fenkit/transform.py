@@ -104,11 +104,11 @@ class PcaReduction:
 
 @dataclass(frozen=True)
 class TransformLayer:
-    """Frozen state of one fitted layer: the column subsets, the PCA
-    reduction with its per-column score scale, and the trained
-    autoencoder."""
+    """Frozen state of one fitted layer: the window width and column
+    subsets, the PCA reduction with its per-column score scale, and the
+    trained autoencoder; the recipe stays in the model's config."""
 
-    config: LayerConfig
+    window_width: int
     input_features: int
     subsets: tuple[tuple[int, ...], ...]
     reduction: PcaReduction
@@ -120,12 +120,20 @@ class TransformLayer:
         freeze_arrays(self, score_scale=np.array(self.score_scale, dtype=np.float64))
         if self.input_features < 1:
             raise ValueError("input_features must be positive")
+        # with input_features >= 1 this also gives window_width >= 2
+        _require_wider_window(self.window_width, self.input_features)
         if not self.subsets:
             raise ValueError("layer needs at least one column subset")
         for subset in self.subsets:
             if not subset or len(set(subset)) != len(subset) or any(
                     not (0 <= idx < self.input_features) for idx in subset):
                 raise ValueError(f"subset {subset} invalid for {self.input_features} columns")
+
+
+def _require_wider_window(window_width: int, input_features: int) -> None:
+    if window_width <= input_features:
+        raise ValueError(f"window_width {window_width} must exceed the "
+                         f"{input_features} input features")
 
 
 def select_column_subsets(m_l: int, h_l: int, max_subsets: int, seed: int) -> list:
@@ -271,10 +279,7 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
     from config.seed; the training seed lives in config.training.
     """
     m_l = features.n_features
-    if config.window_width <= m_l:
-        raise ValueError(
-            f"window_width {config.window_width} must exceed the {m_l} input features"
-        )
+    _require_wider_window(config.window_width, m_l)
     if config.subset_size > m_l:
         raise ValueError(f"subset_size {config.subset_size} exceeds {m_l} input features")
 
@@ -290,8 +295,8 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
     trained, _ = train(ae, scaled, config.training)
     codes, _ = forward(trained, scaled)
 
-    layer = TransformLayer(config, m_l, tuple(subsets), reduction, score_scale,
-                           trained)
+    layer = TransformLayer(config.window_width, m_l, tuple(subsets), reduction,
+                           score_scale, trained)
     return layer, FeatureMatrix(codes, sample_offset=fused.sample_offset)
 
 
@@ -303,17 +308,17 @@ def _scaled_inputs(layer: TransformLayer, features: FeatureMatrix) -> tuple:
             f"feature matrix has {features.n_features} columns, layer was fitted "
             f"on {layer.input_features}"
         )
-    fused = build_fused_matrix(features, layer.subsets, layer.config.window_width)
+    fused = build_fused_matrix(features, layer.subsets, layer.window_width)
     reduced = (fused.values - layer.reduction.mean) @ layer.reduction.projection
     return reduced / layer.score_scale, fused.sample_offset
 
 
-def layer_loss(layer: TransformLayer, features: FeatureMatrix) -> tuple:
+def layer_loss(layer: TransformLayer, features: FeatureMatrix, l1_weight: float) -> tuple:
     """(total, parts, U^{l+1}) of the stored autoencoder on this layer's
-    scaled inputs; on the fit-time features the loss is the post-training
-    loss and U^{l+1} equals apply_layer's output."""
+    scaled inputs at its training l1_weight; on the fit-time features the
+    loss is the post-training loss and U^{l+1} equals apply_layer's output."""
     scaled, sample_offset = _scaled_inputs(layer, features)
-    total, parts = loss(layer.autoencoder, scaled, layer.config.training.l1_weight)
+    total, parts = loss(layer.autoencoder, scaled, l1_weight)
     codes, _ = forward(layer.autoencoder, scaled)
     return total, parts, FeatureMatrix(codes, sample_offset=sample_offset)
 

@@ -164,8 +164,8 @@ def test_01_singular_value_and_eigen_oracles():
         side = int(rng.integers(2, 16))
         raw = rng.standard_normal((side, side))
         matrix = (raw + raw.T) / 2.0
-        eig = sym_eig(matrix)
-        reconstructed = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.T
+        eigenvalues, eigenvectors = sym_eig(matrix)
+        reconstructed = (eigenvectors * eigenvalues) @ eigenvectors.T
         np.testing.assert_allclose(reconstructed, matrix, rtol=1e-8, atol=1e-8)
     assert time.perf_counter() - start < 10.0
 

@@ -48,7 +48,7 @@ def zero_net(variant, input_dim=3, code_dim=2, hidden=4):
         Layer(np.zeros((code_dim, hidden)), np.zeros(hidden), "relu"),
         Layer(np.zeros((hidden, input_dim)), np.zeros(input_dim), "linear"),
     )
-    return Autoencoder(encoder, decoder, variant, code_dim)
+    return Autoencoder(encoder, decoder, variant)
 
 
 class TestInit:
@@ -98,7 +98,15 @@ class TestInit:
         good = Layer(np.zeros((3, 2)), np.zeros(2), "linear")
         with pytest.raises(ValueError, match="chain"):
             Autoencoder((good,), (Layer(np.zeros((5, 3)), np.zeros(3), "linear"),),
-                        PLAIN, 2)
+                        PLAIN)
+        # a variational head emits twice the decoder's input width
+        plain = zero_net(PLAIN, code_dim=2)
+        with pytest.raises(ValueError, match="chain"):
+            Autoencoder(plain.encoder_layers, plain.decoder_layers, VAE)
+
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE])
+    def test_code_dim_is_decoder_input_width(self, variant):
+        assert zero_net(variant, code_dim=3).code_dim == 3
 
 
 class TestForward:
@@ -110,7 +118,7 @@ class TestForward:
 
     def test_identity_single_layer(self):
         eye = Layer(np.eye(3), np.zeros(3), "linear")
-        ae = Autoencoder((eye,), (eye,), PLAIN, 3)
+        ae = Autoencoder((eye,), (eye,), PLAIN)
         x = np.array([[0.5, -1.5, 2.0]])
         code, recon = forward(ae, x)
         np.testing.assert_array_equal(code, x)
@@ -157,7 +165,7 @@ class TestForward:
 
     def test_non_finite_intermediate(self):
         big = Layer(np.full((1, 1), 1e200), np.zeros(1), "linear")
-        ae = Autoencoder((big,), (big,), PLAIN, 1)
+        ae = Autoencoder((big,), (big,), PLAIN)
         with pytest.raises(ValueError, match="non-finite"):
             forward(ae, np.array([[1e200]]))
 
@@ -204,7 +212,7 @@ class TestLoss:
     def test_sparse_beta_scales_penalty(self):
         base = zero_net(SPARSE)
         doubled = Autoencoder(base.encoder_layers, base.decoder_layers,
-                              Variant("sparse", rho=0.05, beta=2.0), base.code_dim)
+                              Variant("sparse", rho=0.05, beta=2.0))
         _, parts_a = loss(base, np.zeros((5, 3)))
         _, parts_b = loss(doubled, np.zeros((5, 3)))
         np.testing.assert_allclose(parts_b["kl_sparse"], 2 * parts_a["kl_sparse"],

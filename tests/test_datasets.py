@@ -12,10 +12,10 @@ from fenkit.datasets import (
     generate_synthetic,
     load_csv,
     read_synthetic_config,
+    standardized,
     write_csv,
     write_sidecar,
 )
-from fenkit.detectors import _standardized
 
 
 def _dataset(values):
@@ -111,21 +111,21 @@ class TestStandardize:
     def test_train_standardizes_to_zero_mean_unit_std(self):
         rng = np.random.default_rng(1)
         ds = _dataset(rng.standard_normal((200, 5)) * [1, 2, 3, 4, 5] + 10)
-        stats = fit_standardize(ds)
-        out = _standardized(ds.values, stats)
+        stats = fit_standardize(ds.values)
+        out = standardized(ds.values, stats)
         np.testing.assert_allclose(out.mean(axis=0), 0, atol=1e-12)
         np.testing.assert_allclose(out.std(axis=0, ddof=1), 1, rtol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
         ds = _dataset(np.column_stack([np.arange(5.0), np.full(5, 7.0)]))
-        stats = fit_standardize(ds)
-        out = _standardized(ds.values, stats)
+        stats = fit_standardize(ds.values)
+        out = standardized(ds.values, stats)
         np.testing.assert_array_equal(out[:, 1], 0.0)
 
     def test_test_phase_uses_train_stats(self):
         train = _dataset([[0.0], [2.0]])
         test = _dataset([[4.0]])
-        out = _standardized(test.values, fit_standardize(train))
+        out = standardized(test.values, fit_standardize(train.values))
         expected = (4.0 - 1.0) / np.std([0.0, 2.0], ddof=1)
         np.testing.assert_allclose(out, [[expected]])
 

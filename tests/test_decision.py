@@ -6,8 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
+from fenkit.datasets import ScalerStats
 from fenkit.decision import DecisionModel, alarms, detection_index, fit_decision
 from fenkit.numerics import EPS_STD
+
+
+def decision_model(mean, std, norm_order, limit):
+    return DecisionModel(ScalerStats(mean, std), norm_order, limit)
 
 
 def gaussian_codes(seed, n=500, dim=6):
@@ -26,7 +31,7 @@ class TestFitDecision:
     def test_identical_codes_degenerate(self):
         codes = np.tile([1.0, 2.0, 3.0], (50, 1))
         model = fit_decision(codes)
-        np.testing.assert_array_equal(model.std, EPS_STD)
+        np.testing.assert_array_equal(model.scaler.std, EPS_STD)
         train_d = detection_index(model, codes)
         np.testing.assert_array_equal(train_d, 0.0)
         assert model.limit == 0.0
@@ -45,13 +50,13 @@ class TestFitDecision:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.ones(3), 0, 1.0)
+            decision_model(np.zeros(3), np.ones(3), 0, 1.0)
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.ones(3), 1, -1.0)
+            decision_model(np.zeros(3), np.ones(3), 1, -1.0)
         with pytest.raises(ValueError):
             fit_decision(gaussian_codes(0), confidence=1.0)
         with pytest.raises(ValueError):
-            DecisionModel(np.zeros(3), np.zeros(3), 1, 1.0)
+            decision_model(np.zeros(3), np.zeros(3), 1, 1.0)
 
     @pytest.mark.parametrize("field", ["limit", "mean", "std"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -61,17 +66,17 @@ class TestFitDecision:
         state = {"mean": np.zeros(3), "std": np.ones(3), "limit": 1.0}
         state[field] = np.full(3, value) if field != "limit" else value
         with pytest.raises(ValueError, match="finite"):
-            DecisionModel(state["mean"], state["std"], 1, state["limit"])
+            decision_model(state["mean"], state["std"], 1, state["limit"])
 
 
 class TestDetectionIndex:
     def test_mean_code_scores_zero(self):
         model = fit_decision(gaussian_codes(3))
-        assert detection_index(model, model.mean[None, :])[0] == 0.0
+        assert detection_index(model, model.scaler.mean[None, :])[0] == 0.0
 
     def test_one_std_step_scores_code_dim(self):
         model = fit_decision(gaussian_codes(4))
-        (d,) = detection_index(model, (model.mean + model.std)[None, :])
+        (d,) = detection_index(model, (model.scaler.mean + model.scaler.std)[None, :])
         assert d == pytest.approx(model.code_dim, rel=1e-12)
 
     def test_matches_elementwise_oracle(self):
@@ -79,7 +84,7 @@ class TestDetectionIndex:
         rng = np.random.default_rng(6)
         for _ in range(10):
             code = rng.standard_normal(6) * 3
-            expected = sum(abs((code[j] - model.mean[j]) / model.std[j])
+            expected = sum(abs((code[j] - model.scaler.mean[j]) / model.scaler.std[j])
                            for j in range(6))
             np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
                                        rtol=1e-12)
@@ -88,14 +93,14 @@ class TestDetectionIndex:
         codes = gaussian_codes(7)
         model = fit_decision(codes, norm_order=2)
         code = codes[0]
-        expected = np.linalg.norm((code - model.mean) / model.std)
+        expected = np.linalg.norm((code - model.scaler.mean) / model.scaler.std)
         np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
                                    rtol=1e-12)
 
     def test_huge_norm_order_gives_row_maximum(self):
         """A loadable norm_order of 1e300 used to overflow z**p to inf; the
         index is then each row's largest standardized entry."""
-        model = DecisionModel(np.zeros(3), np.full(3, 2.0), int(1e300), limit=1.0)
+        model = decision_model(np.zeros(3), np.full(3, 2.0), int(1e300), limit=1.0)
         codes = np.array([[1.0, -6.0, 4.0], [0.0, 0.0, 0.0], [3e300, -3e300, 1.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -106,8 +111,8 @@ class TestDetectionIndex:
         """Shifting codes and mean together leaves every index fixed."""
         model = fit_decision(gaussian_codes(8))
         shift = np.arange(6.0)
-        shifted = DecisionModel(model.mean + shift, model.std, model.norm_order,
-                                model.limit)
+        shifted = decision_model(model.scaler.mean + shift, model.scaler.std,
+                                 model.norm_order, model.limit)
         rng = np.random.default_rng(9)
         codes = rng.standard_normal((20, 6))
         np.testing.assert_allclose(detection_index(shifted, codes + shift),
@@ -115,16 +120,16 @@ class TestDetectionIndex:
 
     def test_enlarging_one_deviation_increases_index(self):
         model = fit_decision(gaussian_codes(10))
-        code = model.mean + model.std * 0.5
+        code = model.scaler.mean + model.scaler.std * 0.5
         (base,) = detection_index(model, code[None, :])
         bumped = code.copy()
-        bumped[2] += model.std[2]
+        bumped[2] += model.scaler.std[2]
         assert detection_index(model, bumped[None, :])[0] > base
 
     def test_zero_iff_mean(self):
         model = fit_decision(gaussian_codes(11))
-        assert detection_index(model, model.mean[None, :])[0] == 0.0
-        off = model.mean.copy()
+        assert detection_index(model, model.scaler.mean[None, :])[0] == 0.0
+        off = model.scaler.mean.copy()
         off[0] += 1e-9
         assert detection_index(model, off[None, :])[0] > 0.0
 
@@ -143,7 +148,7 @@ class TestDetectionIndex:
 
 class TestAlarms:
     def make_model(self, limit):
-        return DecisionModel(np.zeros(2), np.ones(2), 1, limit)
+        return decision_model(np.zeros(2), np.ones(2), 1, limit)
 
     def test_all_below_limit(self):
         model = self.make_model(10.0)

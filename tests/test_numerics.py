@@ -8,7 +8,6 @@ from helpers import gram_singular_values
 
 from fenkit.numerics import (
     EPS_STD,
-    SymmetricEig,
     column_std,
     covariance,
     empirical_quantile,
@@ -23,6 +22,16 @@ class TestColumnStd:
         data = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
         np.testing.assert_array_equal(column_std(data),
                                       [np.std(np.arange(5.0), ddof=1), EPS_STD])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_overflowing_named(self, entry):
+        """A NaN or inf entry, or a spread whose square overflows, fails
+        by name and without a float warning."""
+        data = np.random.default_rng(1).standard_normal((50, 4))
+        data[3, 2] = entry
+        with pytest.raises(ValueError, match="column std is not finite"):
+            column_std(data)
 
 
 class TestCovariance:
@@ -50,6 +59,24 @@ class TestCovariance:
         with pytest.raises(ValueError, match="2 rows"):
             covariance(np.ones((1, 3)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("shape, scale", [((50, 4), 1e200), ((2, 8), 5.6e153)])
+    def test_overflow_named(self, shape, scale):
+        """Products past the float range fail by name, without a float
+        warning; so does a symmetrisation or a trace past it (2 x 8 rows
+        at 5.6e153 overflow only there)."""
+        data = np.random.default_rng(0).standard_normal(shape) * scale
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            covariance(data)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_entry_named(self, entry):
+        data = np.random.default_rng(2).standard_normal((50, 4))
+        data[10, 1] = entry
+        with pytest.raises(ValueError, match="covariance is not finite"):
+            covariance(data)
+
 
 class TestPrincipalSubspace:
     def test_constant_columns_rejected(self):
@@ -67,20 +94,20 @@ class TestPrincipalSubspace:
 
 class TestSymEig:
     def test_identity(self):
-        eig = sym_eig(np.eye(3))
-        np.testing.assert_allclose(eig.eigenvalues, [1.0, 1.0, 1.0])
+        eigenvalues, _ = sym_eig(np.eye(3))
+        np.testing.assert_allclose(eigenvalues, [1.0, 1.0, 1.0])
 
     def test_diagonal_sorted_descending(self):
-        eig = sym_eig(np.diag([3.0, 1.0, 2.0]))
-        np.testing.assert_allclose(eig.eigenvalues, [3.0, 2.0, 1.0])
+        eigenvalues, _ = sym_eig(np.diag([3.0, 1.0, 2.0]))
+        np.testing.assert_allclose(eigenvalues, [3.0, 2.0, 1.0])
 
     def test_reconstruction_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             base = rng.standard_normal((6, 6))
             matrix = (base + base.T) / 2
-            eig = sym_eig(matrix)
-            recon = eig.eigenvectors @ np.diag(eig.eigenvalues) @ eig.eigenvectors.T
+            eigenvalues, eigenvectors = sym_eig(matrix)
+            recon = eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T
             scale = max(np.linalg.norm(matrix), 1.0)
             assert np.linalg.norm(recon - matrix) <= 1e-8 * scale
 
@@ -88,13 +115,13 @@ class TestSymEig:
         rng = np.random.default_rng(22)
         base = rng.standard_normal((9, 9))
         matrix = base @ base.T
-        eig = sym_eig(matrix)
+        eigenvalues, eigenvectors = sym_eig(matrix)
         norm = np.linalg.norm(matrix)
         for i in range(9):
-            vec = eig.eigenvectors[:, i]
-            resid = np.linalg.norm(matrix @ vec - eig.eigenvalues[i] * vec)
+            vec = eigenvectors[:, i]
+            resid = np.linalg.norm(matrix @ vec - eigenvalues[i] * vec)
             assert resid <= 1e-8 * norm
-        gram = eig.eigenvectors.T @ eig.eigenvectors
+        gram = eigenvectors.T @ eigenvectors
         assert np.max(np.abs(gram - np.eye(9))) <= 1e-8
 
     def test_asymmetric_rejected(self):
@@ -102,8 +129,11 @@ class TestSymEig:
         with pytest.raises(ValueError, match="not symmetric"):
             sym_eig(bad)
 
-    def test_returns_dataclass(self):
-        assert isinstance(sym_eig(np.eye(2)), SymmetricEig)
+    def test_returns_eigh_pair(self):
+        """(eigenvalues, eigenvectors), in np.linalg.eigh's order of fields."""
+        eigenvalues, eigenvectors = sym_eig(np.diag([1.0, 2.0]))
+        np.testing.assert_array_equal(eigenvalues, [2.0, 1.0])
+        np.testing.assert_array_equal(eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
 
 
 class TestSingularValues:

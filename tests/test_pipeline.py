@@ -66,6 +66,15 @@ def fitted(data_pair):
     return fit(train, small_config())
 
 
+@pytest.fixture(scope="module", params=["plain", "sparse", "variational"])
+def variant_model(request, data_pair, fitted):
+    """The small two-layer model of each autoencoder variant."""
+    if request.param == "plain":
+        return fitted
+    template = replace(SMALL_TEMPLATE, ae_variant=Variant(request.param))
+    return fit(data_pair[0], small_config(layer_template=template))
+
+
 class TestPipelineConfig:
     def test_defaults(self):
         """The default recipe is two layers over the full bank."""
@@ -247,8 +256,8 @@ MD1_BANK = ('{"type": "DetectorBank", "detectors": '
 def model_header(bank=MD1_BANK, layers="[]", config='{"type": "PipelineConfig"}') -> str:
     """Header of a depth-0 FenetModel over one variable: an MD1 bank and
     a decision whose arrays all read the data block's 1.0."""
-    decision = ('{"type": "DecisionModel", "mean": %s, "std": %s, "norm_order": 1, '
-                '"limit": 0.0}' % (ONE, ONE))
+    decision = ('{"type": "DecisionModel", "scaler": {"type": "ScalerStats", "mean": %s, '
+                '"std": %s}, "norm_order": 1, "limit": 0.0}' % (ONE, ONE))
     return ('{"type": "FenetModel", "bank": %s, "layers": %s, "decision": %s, '
             '"config": %s}' % (bank, layers, decision, config))
 
@@ -262,28 +271,60 @@ def write_header(path, header: str, extra_length: int = 0) -> None:
     path.write_bytes(body + hashlib.sha256(body).digest())
 
 
+def rewrite_model(path, edit) -> None:
+    """Re-checksum a saved model after edit(header, data) changed its
+    decoded JSON header or its bytearray data block in place."""
+    body = path.read_bytes()[:-32]
+    (header_len,) = struct.unpack_from("<Q", body, len(MAGIC) + 4)
+    start = len(MAGIC) + 12
+    header = json.loads(body[start:start + header_len])
+    data = bytearray(body[start + header_len:])
+    edit(header, data)
+    header_bytes = json.dumps(header).encode("utf-8")
+    body = (MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes))
+            + header_bytes + bytes(data))
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def poke_inf(array_node: dict, data: bytearray) -> None:
+    """Overwrite the first entry of a stored array with +inf."""
+    struct.pack_into("<d", data, array_node["offset"], np.inf)
+
+
+def typed_nodes(node):
+    """Every dataclass node of a decoded header, with its type name."""
+    if isinstance(node, dict):
+        if "type" in node:
+            yield node["type"], node
+        for child in node.values():
+            yield from typed_nodes(child)
+    elif isinstance(node, list):
+        for child in node:
+            yield from typed_nodes(child)
+
+
 class TestModelFile:
-    def test_round_trip_detection_is_bit_identical(self, fitted, data_pair,
+    def test_round_trip_detection_is_bit_identical(self, variant_model, data_pair,
                                                    tmp_path):
         _, test = data_pair
         path = tmp_path / "model.fenet"
-        save(fitted, path)
+        save(variant_model, path)
         restored = load(path)
-        original = detect(fitted, test)
+        original = detect(variant_model, test)
         replayed = detect(restored, test)
         np.testing.assert_array_equal(original.index_values,
                                       replayed.index_values)
         np.testing.assert_array_equal(original.flags, replayed.flags)
         assert replayed.valid_from == original.valid_from
 
-    def test_save_is_deterministic(self, fitted, data_pair, tmp_path):
+    def test_save_is_deterministic(self, variant_model, tmp_path):
         """Saving the same fit twice, and saving a reloaded model, all
         produce byte-identical files."""
         first = tmp_path / "a.fenet"
         second = tmp_path / "b.fenet"
         third = tmp_path / "c.fenet"
-        save(fitted, first)
-        save(fitted, second)
+        save(variant_model, first)
+        save(variant_model, second)
         save(load(first), third)
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes() == third.read_bytes()
@@ -353,11 +394,11 @@ class TestModelFile:
             load(path)
 
     def test_old_version_asks_for_refit(self, fitted, tmp_path):
-        """Files of versions 1 to 3 are not read; the message names the
+        """Files of versions 1 to 4 are not read; the message names the
         version and says to refit."""
         path = tmp_path / "model.fenet"
         save(fitted, path)
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             body = bytearray(path.read_bytes()[:-32])
             struct.pack_into("<I", body, len(MAGIC), version)
             path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
@@ -431,6 +472,53 @@ class TestModelFile:
         path = tmp_path / "model.fenet"
         write_header(path, header, extra_length)
         with pytest.raises(ValueError, match=message):
+            load(path)
+
+    def test_header_stores_each_fact_once(self, variant_model, tmp_path):
+        """A layer keeps its window width but not its LayerConfig, which
+        lives only in the model's config; the autoencoder's code width is
+        its decoder's input width; the decision's mean and std are its
+        ScalerStats."""
+        path = tmp_path / "model.fenet"
+        save(variant_model, path)
+        headers = []
+        rewrite_model(path, lambda header, data: headers.append(header))
+        nodes = list(typed_nodes(headers[0]))
+        layers = [node for kind, node in nodes if kind == "TransformLayer"]
+        assert len(layers) == 2
+        for layer, config in zip(layers, variant_model.config.layers):
+            assert layer["window_width"] == config.window_width
+            assert "LayerConfig" not in {kind for kind, _ in typed_nodes(layer)}
+        assert all("code_dim" not in node for kind, node in nodes if kind == "Autoencoder")
+        (decision,) = [node for kind, node in nodes if kind == "DecisionModel"]
+        assert set(decision) == {"type", "scaler", "norm_order", "limit"}
+        assert decision["scaler"]["type"] == "ScalerStats"
+
+    @pytest.mark.parametrize("locate", [
+        pytest.param(lambda header: header["bank"]["detectors"][0]["scaler"]["std"],
+                     id="bank-scaler-std"),
+        pytest.param(lambda header: header["layers"][0]["score_scale"],
+                     id="layer-score-scale"),
+    ])
+    def test_non_finite_array_rejected(self, fitted, tmp_path, locate):
+        """An inf in any stored array fails at load, whichever class
+        would hold it."""
+        path = tmp_path / "model.fenet"
+        save(fitted, path)
+        rewrite_model(path, lambda header, data: poke_inf(locate(header), data))
+        with pytest.raises(ValueError, match="non-finite"):
+            load(path)
+
+    def test_window_not_wider_than_inputs_rejected(self, fitted, tmp_path):
+        path = tmp_path / "model.fenet"
+        save(fitted, path)
+
+        def narrow(header, data):
+            layer = header["layers"][1]
+            layer["window_width"] = layer["input_features"]
+
+        rewrite_model(path, narrow)
+        with pytest.raises(ValueError, match="window_width 4 must exceed the 4 input"):
             load(path)
 
     def test_numbers_load_into_int_and_float_fields(self, tmp_path):

@@ -449,15 +449,17 @@ class TestWindowSpectra:
 @st.composite
 def degenerate_codes(draw):
     """Code matrices that are constant, collinear, rank-deficient or hold
-    one constant column, with entries within +-1e3."""
+    one constant column, with entries within +-1e3; optionally the rows
+    from one on are scaled by 1e150 to 1e300, or one entry is NaN or
+    infinite."""
     n = draw(st.integers(2, 60))
     m = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(SEEDS))
     kind = draw(st.sampled_from(("constant", "collinear", "rank_deficient",
                                  "constant_column")))
     if kind == "constant":
-        return np.full((n, m), draw(MODERATE))
-    if kind == "collinear":
+        codes = np.full((n, m), draw(MODERATE))
+    elif kind == "collinear":
         scales = np.array(draw(st.lists(MODERATE, min_size=m, max_size=m)))
         codes = rng.standard_normal((n, 1)) * scales + draw(MODERATE)
     elif kind == "rank_deficient":
@@ -467,15 +469,24 @@ def degenerate_codes(draw):
         codes = rng.standard_normal((n, m))
         codes[:, draw(st.integers(0, m - 1))] = draw(MODERATE)
     peak = np.abs(codes).max()
-    return codes * (1e3 / peak) if peak > 1e3 else codes
+    if peak > 1e3:
+        codes *= 1e3 / peak
+    extreme = draw(st.sampled_from(("none", "huge", "non_finite")))
+    if extreme == "huge":
+        codes[draw(st.integers(0, n - 1)):] *= 10.0 ** draw(st.integers(150, 300))
+    elif extreme == "non_finite":
+        codes[draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1))] = draw(
+            st.sampled_from((np.nan, np.inf, -np.inf)))
+    return codes
 
 
 class TestDegenerateCodes:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @SETTINGS
     @given(degenerate_codes(), unit_interval(), st.integers(1, 3))
     def test_reduction_and_decision(self, codes, fraction, norm_order):
-        """Finite output or ValueError from both fits; an exactly
-        constant matrix raises in the PCA reduction."""
+        """Finite output or ValueError, and no float warning, from both
+        fits; an exactly constant matrix raises in the PCA reduction."""
         constant = np.all(codes == codes[:1])
         try:
             reduction, reduced = fit_pca_reduction(codes, fraction)
@@ -489,5 +500,5 @@ class TestDegenerateCodes:
             decision = fit_decision(codes, norm_order=norm_order)
         except ValueError:
             return
-        assert np.all(np.isfinite(decision.mean)) and np.isfinite(decision.limit)
+        assert np.all(np.isfinite(decision.scaler.mean)) and np.isfinite(decision.limit)
         assert np.all(np.isfinite(detection_index(decision, codes)))

@@ -335,11 +335,12 @@ class TestFitLayer:
 
     def test_apply_reproduces_fit_output(self):
         fm = self.layer_input(seed=19)
-        layer, nxt = fit_layer(fm, small_config())
+        config = small_config()
+        layer, nxt = fit_layer(fm, config)
         replay = apply_layer(layer, fm)
         np.testing.assert_array_equal(replay.values, nxt.values)
         assert replay.sample_offset == nxt.sample_offset
-        _, _, summarized = layer_loss(layer, fm)
+        _, _, summarized = layer_loss(layer, fm, config.training.l1_weight)
         np.testing.assert_array_equal(summarized.values, nxt.values)
         assert summarized.sample_offset == nxt.sample_offset
 
