@@ -141,19 +141,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _activate(z: np.ndarray, tag: str) -> np.ndarray:
-    if tag == "linear":
-        return z
-    if tag == "relu":
-        return np.maximum(z, 0.0)
-    return _sigmoid(z)
-
-
-def _activation_derivative(z: np.ndarray, tag: str) -> np.ndarray:
-    """Derivative of a nonlinear activation; linear layers pass the
-    gradient through unchanged."""
-    if tag == "relu":
-        return (z > 0.0).astype(np.float64)
+def _sigmoid_derivative(z: np.ndarray) -> np.ndarray:
     s = _sigmoid(z)
     return s * (1.0 - s)
 
@@ -197,41 +185,99 @@ def init_autoencoder(input_dim: int, code_dim: int, variant: Variant, seed: int,
     return Autoencoder(tuple(encoder), tuple(decoder), variant)
 
 
-def _run_stack(layers, params, batch):
+@dataclass(frozen=True)
+class _LayerBuffers:
+    """One layer's arrays for a fixed row count: pre-activation z; the
+    ReLU output a and derivative mask (None for other activations); the
+    input gradient da (None where no gradient is wanted)."""
+
+    z: np.ndarray
+    a: np.ndarray | None
+    mask: np.ndarray | None
+    da: np.ndarray | None
+
+
+@dataclass(frozen=True)
+class _Workspace:
+    """Every buffer of one pass over a fixed row count: per-layer buffers
+    of each stack, and the reconstruction error and its square.  train
+    builds one and reuses it on every epoch; every other pass builds its
+    own."""
+
+    encoder: tuple
+    decoder: tuple
+    err: np.ndarray
+    err_sq: np.ndarray
+
+
+def _workspace(ae: Autoencoder, n_rows: int, want_grads: bool) -> _Workspace:
+    def stack(layers, input_gradient):
+        buffers = []
+        for k, layer in enumerate(layers):
+            fan_in, fan_out = layer.weights.shape
+            relu = layer.activation == "relu"
+            buffers.append(_LayerBuffers(
+                z=np.empty((n_rows, fan_out)),
+                a=np.empty((n_rows, fan_out)) if relu else None,
+                mask=np.empty((n_rows, fan_out), dtype=bool) if relu and want_grads else None,
+                da=np.empty((n_rows, fan_in)) if want_grads and (k or input_gradient) else None,
+            ))
+        return tuple(buffers)
+
+    # The encoder's input gradient would be dLoss/d(data), which nothing reads.
+    return _Workspace(stack(ae.encoder_layers, False), stack(ae.decoder_layers, True),
+                      np.empty((n_rows, ae.input_dim)), np.empty((n_rows, ae.input_dim)))
+
+
+def _run_stack(layers, params, batch, buffers):
     """Forward through a layer stack whose weights and biases alternate in
-    params, caching each layer's input and pre-activation."""
+    params, into its buffers, caching each layer's input and
+    pre-activation."""
     caches = []
     a = batch
-    for layer, weights, bias in zip(layers, params[0::2], params[1::2]):
-        z = a @ weights + bias
+    for layer, weights, bias, buf in zip(layers, params[0::2], params[1::2], buffers):
+        z = np.matmul(a, weights, out=buf.z)
+        z += bias
         caches.append((a, z))
-        a = _activate(z, layer.activation)
+        if layer.activation == "relu":
+            a = np.maximum(z, 0.0, out=buf.a)
+        elif layer.activation == "sigmoid":
+            a = _sigmoid(z)
+        else:
+            a = z
     return a, caches
 
 
-def _backprop_stack(layers, params, caches, upstream, input_gradient=True):
-    """Gradient of the stack given dLoss/d(stack output); returns the
-    (dW, db) of every layer, in params order, plus dLoss/d(stack input),
-    which is None unless input_gradient is set."""
+def _backprop_stack(layers, params, caches, upstream, buffers):
+    """Gradient of the stack given dLoss/d(stack output), which a ReLU
+    top layer overwrites; returns the (dW, db) of every layer, in params
+    order, plus dLoss/d(stack input), which is None when the first
+    layer's buffers hold no input gradient."""
     grads = [None] * (2 * len(layers))
     da = upstream
     for k in range(len(layers) - 1, -1, -1):
         activation = layers[k].activation
         a_prev, z = caches[k]
-        delta = da if activation == "linear" else da * _activation_derivative(z, activation)
+        buf = buffers[k]
+        if activation == "relu":
+            delta = np.multiply(da, np.greater(z, 0.0, out=buf.mask), out=da)
+        elif activation == "sigmoid":
+            delta = da * _sigmoid_derivative(z)
+        else:
+            delta = da
         grads[2 * k], grads[2 * k + 1] = a_prev.T @ delta, delta.sum(axis=0)
-        da = delta @ params[2 * k].T if k or input_gradient else None
+        da = None if buf.da is None else np.matmul(delta, params[2 * k].T, out=buf.da)
     return grads, da
 
 
-def _encode(ae: Autoencoder, params: list, batch, noise=None) -> tuple:
+def _encode(ae: Autoencoder, params: list, batch, buffers, noise=None) -> tuple:
     """The encoder step of every pass: (code, encoder caches, head).
 
     head is None except for the variational variant, where it is
     (mu, logvar, sigma) and the code is mu + sigma * noise; when noise
     is None, the code is the posterior mean mu and sigma is None.
     """
-    head, caches = _run_stack(ae.encoder_layers, params, batch)
+    head, caches = _run_stack(ae.encoder_layers, params, batch, buffers)
     if ae.variant.kind != "variational":
         return head, caches, None
     mu, logvar = head[:, :ae.code_dim], head[:, ae.code_dim:]
@@ -244,9 +290,11 @@ def _encode(ae: Autoencoder, params: list, batch, noise=None) -> tuple:
 # Overflow surfaces as non-finite values that callers detect and report;
 # the IEEE warnings would only duplicate that.
 @np.errstate(over="ignore", invalid="ignore")
-def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads):
+def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads,
+              workspace=None):
     """Shared forward/backward core of loss(), gradients() and train(),
     over a parameters()-ordered list; the gradients come in that order.
+    Without a workspace, it builds one for this call.
 
     Reconstruction error and the variational KL sum over dimensions and
     average over batch rows; the code L1 penalty averages over rows and
@@ -254,12 +302,14 @@ def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads
     """
     n_rows = batch.shape[0]
     variant = ae.variant
+    if workspace is None:
+        workspace = _workspace(ae, n_rows, want_grads)
     dec_params = params[2 * len(ae.encoder_layers):]
-    code, enc_caches, head = _encode(ae, params, batch, noise)
-    recon, dec_caches = _run_stack(ae.decoder_layers, dec_params, code)
+    code, enc_caches, head = _encode(ae, params, batch, workspace.encoder, noise)
+    recon, dec_caches = _run_stack(ae.decoder_layers, dec_params, code, workspace.decoder)
 
-    err = recon - batch
-    mse = float((err * err).sum() / n_rows)
+    err = np.subtract(recon, batch, out=workspace.err)
+    mse = float(np.multiply(err, err, out=workspace.err_sq).sum() / n_rows)
     parts = {"mse": mse}
     if variant.kind == "plain":
         parts["l1"] = float(l1_weight * np.mean(np.abs(code)))
@@ -281,8 +331,10 @@ def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads
     if not want_grads:
         return total, parts, None
 
-    d_recon = 2.0 * err / n_rows
-    dec_grads, d_code = _backprop_stack(ae.decoder_layers, dec_params, dec_caches, d_recon)
+    # dLoss/d(recon) = 2 err / rows, in err's own buffer.
+    d_recon = np.divide(np.multiply(2.0, err, out=err), n_rows, out=err)
+    dec_grads, d_code = _backprop_stack(ae.decoder_layers, dec_params, dec_caches, d_recon,
+                                        workspace.decoder)
 
     if variant.kind == "plain":
         d_code = d_code + l1_weight * np.sign(code) / code.size
@@ -300,7 +352,7 @@ def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads
         d_head = np.concatenate([d_mu, d_logvar], axis=1)
 
     enc_grads, _ = _backprop_stack(ae.encoder_layers, params, enc_caches, d_head,
-                                   input_gradient=False)
+                                   workspace.encoder)
     return total, parts, enc_grads + dec_grads
 
 
@@ -321,9 +373,11 @@ def forward(ae: Autoencoder, x: np.ndarray) -> tuple:
     posterior mean."""
     batch = _check_batch(ae, x)
     params = parameters(ae)
+    workspace = _workspace(ae, batch.shape[0], want_grads=False)
     with np.errstate(over="ignore", invalid="ignore"):
-        code, _, _ = _encode(ae, params, batch)
-        recon, _ = _run_stack(ae.decoder_layers, params[2 * len(ae.encoder_layers):], code)
+        code, _, _ = _encode(ae, params, batch, workspace.encoder)
+        recon, _ = _run_stack(ae.decoder_layers, params[2 * len(ae.encoder_layers):], code,
+                              workspace.decoder)
     if not (np.all(np.isfinite(code)) and np.all(np.isfinite(recon))):
         raise ValueError("non-finite values in forward pass")
     return code, recon
@@ -411,14 +465,16 @@ def adam_step(params: list, grads: list, state: AdamState, learning_rate: float,
 def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
     """Full-batch training; returns (trained autoencoder, loss history).
 
-    The history holds the loss at the start of each epoch.  A non-finite
-    loss or gradient aborts with TrainingDivergedError carrying the
+    The history holds the loss at the start of each epoch.  Every epoch
+    writes its activations and gradients into one workspace, built once
+    for the batch's row count.  A non-finite loss or gradient aborts with TrainingDivergedError carrying the
     history collected so far.
     """
     batch = _check_batch(ae, data)
     rng = np.random.default_rng(config.seed)
     params = parameters(ae)
     state = init_adam(params)
+    workspace = _workspace(ae, batch.shape[0], want_grads=True)
     history = []
 
     for _ in range(config.epochs):
@@ -426,7 +482,7 @@ def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
         if ae.variant.kind == "variational":
             noise = rng.standard_normal((batch.shape[0], ae.code_dim))
         total, _, grads = _evaluate(ae, params, batch, config.l1_weight, noise,
-                                    want_grads=True)
+                                    want_grads=True, workspace=workspace)
         if not np.isfinite(total):
             raise TrainingDivergedError(history)
         history.append(total)

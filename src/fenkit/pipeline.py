@@ -113,6 +113,11 @@ class FenetModel:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
+        if self.decision.norm_order != self.config.norm_order:
+            raise ValueError(
+                f"decision norm_order {self.decision.norm_order} disagrees with "
+                f"config norm_order {self.config.norm_order}"
+            )
 
 
 def resolve_layer_configs(config: PipelineConfig) -> list:

@@ -288,6 +288,21 @@ class TestGradients:
         oracle = finite_difference_gradients(ae, batch, noise=None)
         assert_gradients_close(analytic, oracle)
 
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE], ids=lambda v: v.kind)
+    def test_two_hidden_layers_match_finite_differences(self, variant):
+        """Stacked ReLU layers, each with its own buffers within a pass.
+        Non-zero biases keep a row that a whole ReLU layer zeroes off the
+        next layer's kink."""
+        rng = np.random.default_rng(9)
+        ae = init_autoencoder(6, 2, variant, seed=17, hidden_dims=(5, 4))
+        ae = with_parameters(ae, [p + 0.1 * rng.standard_normal(p.shape)
+                                  for p in parameters(ae)])
+        batch = rng.standard_normal((7, 6))
+        noise = rng.standard_normal((7, 2)) if variant.kind == "variational" else None
+        analytic = gradients(ae, batch, noise=noise)
+        oracle = finite_difference_gradients(ae, batch, noise=noise)
+        assert_gradients_close(analytic, oracle)
+
     def test_zero_net_zero_batch_all_zero(self):
         grads = gradients(zero_net(PLAIN), np.zeros((3, 3)))
         for g in grads:
@@ -418,22 +433,22 @@ class TestTrain:
         assert excinfo.value.history.size >= 1
         assert np.all(np.isfinite(excinfo.value.history))
 
-    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE], ids=lambda v: v.kind)
-    def test_matches_public_gradient_loop(self, variant):
+    @staticmethod
+    def assert_matches_public_gradient_loop(ae, data, config):
         """train is gradients() plus adam_step over a parameters() list,
         byte for byte, with the variational noise drawn from the config
-        seed; history[i] is the loss before step i."""
-        data = np.random.default_rng(41).standard_normal((25, 6))
-        config = TrainConfig(epochs=3, l1_weight=0.5, seed=13)
-        ae = small_net(variant, seed=42)
+        seed; history[i] is the loss before step i, and the caller's
+        data keeps its bytes."""
+        data_bytes = data.tobytes()
         trained, history = train(ae, data, config)
+        assert data.tobytes() == data_bytes
 
         rng = np.random.default_rng(config.seed)
         params = parameters(ae)
         state = init_adam(params)
         for epoch in range(config.epochs):
             noise = (rng.standard_normal((len(data), ae.code_dim))
-                     if variant.kind == "variational" else None)
+                     if ae.variant.kind == "variational" else None)
             current = with_parameters(ae, params)
             assert history[epoch] == loss(current, data, config.l1_weight, noise)[0]
             grads = gradients(current, data, config.l1_weight, noise)
@@ -442,6 +457,21 @@ class TestTrain:
         assert len(history) == config.epochs
         for expected, actual in zip(params, parameters(trained), strict=True):
             assert expected.tobytes() == actual.tobytes()
+
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE], ids=lambda v: v.kind)
+    def test_matches_public_gradient_loop(self, variant):
+        data = np.random.default_rng(41).standard_normal((25, 6))
+        self.assert_matches_public_gradient_loop(
+            small_net(variant, seed=42), data, TrainConfig(epochs=3, l1_weight=0.5, seed=13))
+
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE], ids=lambda v: v.kind)
+    def test_two_hidden_layers_match_public_gradient_loop(self, variant):
+        """The same at 8 -> 16 -> 8 -> 4 and its mirror: stacked ReLU
+        layers, whose buffers train reuses across epochs."""
+        data = np.random.default_rng(43).standard_normal((200, 8))
+        ae = init_autoencoder(8, 4, variant, seed=44, hidden_dims=(16, 8))
+        self.assert_matches_public_gradient_loop(
+            ae, data, TrainConfig(epochs=4, l1_weight=0.5, seed=15))
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):

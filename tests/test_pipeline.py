@@ -521,6 +521,26 @@ class TestModelFile:
         with pytest.raises(ValueError, match="window_width 4 must exceed the 4 input"):
             load(path)
 
+    def test_norm_order_disagreement_rejected(self, fitted, tmp_path):
+        """The decision scores with its own norm order, so a header whose
+        decision and config disagree fails at load; equal edits load."""
+        path = tmp_path / "model.fenet"
+        save(fitted, path)
+
+        def set_norm_order(decision_order, config_order):
+            def edit(header, data):
+                header["decision"]["norm_order"] = decision_order
+                header["config"]["norm_order"] = config_order
+            return edit
+
+        rewrite_model(path, set_norm_order(3, 1))
+        with pytest.raises(ValueError, match="decision norm_order 3 disagrees with "
+                                             "config norm_order 1"):
+            load(path)
+        rewrite_model(path, set_norm_order(3, 3))
+        model = load(path)
+        assert model.decision.norm_order == model.config.norm_order == 3
+
     def test_numbers_load_into_int_and_float_fields(self, tmp_path):
         """Variant("sparse", beta=1) is saved with the JSON integer 1 and
         master_seed=5.0 with the JSON float 5.0; both load back equal, the
