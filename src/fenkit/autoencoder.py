@@ -141,11 +141,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid_derivative(z: np.ndarray) -> np.ndarray:
-    s = _sigmoid(z)
-    return s * (1.0 - s)
-
-
 def init_autoencoder(input_dim: int, code_dim: int, variant: Variant, seed: int,
                      hidden_dims: tuple = DEFAULT_HIDDEN_DIMS) -> Autoencoder:
     """Symmetric funnel: input -> hidden_dims -> code and its mirror.
@@ -185,99 +180,68 @@ def init_autoencoder(input_dim: int, code_dim: int, variant: Variant, seed: int,
     return Autoencoder(tuple(encoder), tuple(decoder), variant)
 
 
-@dataclass(frozen=True)
-class _LayerBuffers:
-    """One layer's arrays for a fixed row count: pre-activation z; the
-    ReLU output a and derivative mask (None for other activations); the
-    input gradient da (None where no gradient is wanted)."""
-
-    z: np.ndarray
-    a: np.ndarray | None
-    mask: np.ndarray | None
-    da: np.ndarray | None
+def _buffer(workspace: dict, key, shape, dtype=np.float64) -> np.ndarray:
+    """The workspace's array under key, made on first use.  train passes
+    one workspace to every epoch; every other pass brings a fresh one."""
+    if key not in workspace:
+        workspace[key] = np.empty(shape, dtype=dtype)
+    return workspace[key]
 
 
-@dataclass(frozen=True)
-class _Workspace:
-    """Every buffer of one pass over a fixed row count: per-layer buffers
-    of each stack, and the reconstruction error and its square.  train
-    builds one and reuses it on every epoch; every other pass builds its
-    own."""
-
-    encoder: tuple
-    decoder: tuple
-    err: np.ndarray
-    err_sq: np.ndarray
-
-
-def _workspace(ae: Autoencoder, n_rows: int, want_grads: bool) -> _Workspace:
-    def stack(layers, input_gradient):
-        buffers = []
-        for k, layer in enumerate(layers):
-            fan_in, fan_out = layer.weights.shape
-            relu = layer.activation == "relu"
-            buffers.append(_LayerBuffers(
-                z=np.empty((n_rows, fan_out)),
-                a=np.empty((n_rows, fan_out)) if relu else None,
-                mask=np.empty((n_rows, fan_out), dtype=bool) if relu and want_grads else None,
-                da=np.empty((n_rows, fan_in)) if want_grads and (k or input_gradient) else None,
-            ))
-        return tuple(buffers)
-
-    # The encoder's input gradient would be dLoss/d(data), which nothing reads.
-    return _Workspace(stack(ae.encoder_layers, False), stack(ae.decoder_layers, True),
-                      np.empty((n_rows, ae.input_dim)), np.empty((n_rows, ae.input_dim)))
-
-
-def _run_stack(layers, params, batch, buffers):
+def _run_stack(layers, params, batch, workspace, name):
     """Forward through a layer stack whose weights and biases alternate in
-    params, into its buffers, caching each layer's input and
-    pre-activation."""
+    params, into workspace buffers under name, caching each layer's input
+    and output.  ReLU writes its output over the pre-activation."""
     caches = []
     a = batch
-    for layer, weights, bias, buf in zip(layers, params[0::2], params[1::2], buffers):
-        z = np.matmul(a, weights, out=buf.z)
+    for k, (layer, weights, bias) in enumerate(zip(layers, params[0::2], params[1::2])):
+        z = _buffer(workspace, (name, k, "z"), (a.shape[0], weights.shape[1]))
+        np.matmul(a, weights, out=z)
         z += bias
-        caches.append((a, z))
         if layer.activation == "relu":
-            a = np.maximum(z, 0.0, out=buf.a)
+            out = np.maximum(z, 0.0, out=z)
         elif layer.activation == "sigmoid":
-            a = _sigmoid(z)
+            out = _sigmoid(z)
         else:
-            a = z
+            out = z
+        caches.append((a, out))
+        a = out
     return a, caches
 
 
-def _backprop_stack(layers, params, caches, upstream, buffers):
+def _backprop_stack(layers, params, caches, upstream, workspace, name, input_gradient=True):
     """Gradient of the stack given dLoss/d(stack output), which a ReLU
     top layer overwrites; returns the (dW, db) of every layer, in params
-    order, plus dLoss/d(stack input), which is None when the first
-    layer's buffers hold no input gradient."""
+    order, plus dLoss/d(stack input), or None without input_gradient."""
     grads = [None] * (2 * len(layers))
     da = upstream
     for k in range(len(layers) - 1, -1, -1):
         activation = layers[k].activation
-        a_prev, z = caches[k]
-        buf = buffers[k]
+        a_prev, out = caches[k]
         if activation == "relu":
-            delta = np.multiply(da, np.greater(z, 0.0, out=buf.mask), out=da)
+            # output > 0 exactly where the pre-activation is, NaN included.
+            mask = _buffer(workspace, (name, k, "mask"), out.shape, bool)
+            delta = np.multiply(da, np.greater(out, 0.0, out=mask), out=da)
         elif activation == "sigmoid":
-            delta = da * _sigmoid_derivative(z)
+            delta = da * (out * (1.0 - out))
         else:
             delta = da
         grads[2 * k], grads[2 * k + 1] = a_prev.T @ delta, delta.sum(axis=0)
-        da = None if buf.da is None else np.matmul(delta, params[2 * k].T, out=buf.da)
+        da = None
+        if k or input_gradient:
+            da = np.matmul(delta, params[2 * k].T,
+                           out=_buffer(workspace, (name, k, "da"), a_prev.shape))
     return grads, da
 
 
-def _encode(ae: Autoencoder, params: list, batch, buffers, noise=None) -> tuple:
+def _encode(ae: Autoencoder, params: list, batch, workspace, noise=None) -> tuple:
     """The encoder step of every pass: (code, encoder caches, head).
 
     head is None except for the variational variant, where it is
     (mu, logvar, sigma) and the code is mu + sigma * noise; when noise
     is None, the code is the posterior mean mu and sigma is None.
     """
-    head, caches = _run_stack(ae.encoder_layers, params, batch, buffers)
+    head, caches = _run_stack(ae.encoder_layers, params, batch, workspace, "encoder")
     if ae.variant.kind != "variational":
         return head, caches, None
     mu, logvar = head[:, :ae.code_dim], head[:, ae.code_dim:]
@@ -290,11 +254,9 @@ def _encode(ae: Autoencoder, params: list, batch, buffers, noise=None) -> tuple:
 # Overflow surfaces as non-finite values that callers detect and report;
 # the IEEE warnings would only duplicate that.
 @np.errstate(over="ignore", invalid="ignore")
-def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads,
-              workspace=None):
+def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, workspace):
     """Shared forward/backward core of loss(), gradients() and train(),
     over a parameters()-ordered list; the gradients come in that order.
-    Without a workspace, it builds one for this call.
 
     Reconstruction error and the variational KL sum over dimensions and
     average over batch rows; the code L1 penalty averages over rows and
@@ -302,14 +264,13 @@ def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads
     """
     n_rows = batch.shape[0]
     variant = ae.variant
-    if workspace is None:
-        workspace = _workspace(ae, n_rows, want_grads)
     dec_params = params[2 * len(ae.encoder_layers):]
-    code, enc_caches, head = _encode(ae, params, batch, workspace.encoder, noise)
-    recon, dec_caches = _run_stack(ae.decoder_layers, dec_params, code, workspace.decoder)
+    code, enc_caches, head = _encode(ae, params, batch, workspace, noise)
+    recon, dec_caches = _run_stack(ae.decoder_layers, dec_params, code, workspace, "decoder")
 
-    err = np.subtract(recon, batch, out=workspace.err)
-    mse = float(np.multiply(err, err, out=workspace.err_sq).sum() / n_rows)
+    err = np.subtract(recon, batch, out=_buffer(workspace, "err", batch.shape))
+    mse = float(np.multiply(err, err, out=_buffer(workspace, "err_sq", batch.shape)).sum()
+                / n_rows)
     parts = {"mse": mse}
     if variant.kind == "plain":
         parts["l1"] = float(l1_weight * np.mean(np.abs(code)))
@@ -328,13 +289,10 @@ def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads
         parts["kl_vae"] = float(kl_terms.sum() / n_rows)
     total = float(sum(parts.values()))
 
-    if not want_grads:
-        return total, parts, None
-
     # dLoss/d(recon) = 2 err / rows, in err's own buffer.
     d_recon = np.divide(np.multiply(2.0, err, out=err), n_rows, out=err)
     dec_grads, d_code = _backprop_stack(ae.decoder_layers, dec_params, dec_caches, d_recon,
-                                        workspace.decoder)
+                                        workspace, "decoder")
 
     if variant.kind == "plain":
         d_code = d_code + l1_weight * np.sign(code) / code.size
@@ -351,8 +309,9 @@ def _evaluate(ae: Autoencoder, params: list, batch, l1_weight, noise, want_grads
             d_logvar = d_logvar + d_code * 0.5 * sigma * noise
         d_head = np.concatenate([d_mu, d_logvar], axis=1)
 
+    # The encoder's input gradient would be dLoss/d(data), which nothing reads.
     enc_grads, _ = _backprop_stack(ae.encoder_layers, params, enc_caches, d_head,
-                                   workspace.encoder)
+                                   workspace, "encoder", input_gradient=False)
     return total, parts, enc_grads + dec_grads
 
 
@@ -373,11 +332,11 @@ def forward(ae: Autoencoder, x: np.ndarray) -> tuple:
     posterior mean."""
     batch = _check_batch(ae, x)
     params = parameters(ae)
-    workspace = _workspace(ae, batch.shape[0], want_grads=False)
+    workspace = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        code, _, _ = _encode(ae, params, batch, workspace.encoder)
+        code, _, _ = _encode(ae, params, batch, workspace)
         recon, _ = _run_stack(ae.decoder_layers, params[2 * len(ae.encoder_layers):], code,
-                              workspace.decoder)
+                              workspace, "decoder")
     if not (np.all(np.isfinite(code)) and np.all(np.isfinite(recon))):
         raise ValueError("non-finite values in forward pass")
     return code, recon
@@ -391,8 +350,7 @@ def loss(ae: Autoencoder, batch, l1_weight: float = 1.0, noise=None) -> tuple:
     deterministic.
     """
     batch = _check_batch(ae, batch)
-    total, parts, _ = _evaluate(ae, parameters(ae), batch, l1_weight, noise,
-                                want_grads=False)
+    total, parts, _ = _evaluate(ae, parameters(ae), batch, l1_weight, noise, {})
     return total, parts
 
 
@@ -401,8 +359,7 @@ def gradients(ae: Autoencoder, batch, l1_weight: float = 1.0, noise=None) -> lis
     decoder, weights before bias within each layer.  The L1 subgradient
     at zero is zero."""
     batch = _check_batch(ae, batch)
-    _, _, grads = _evaluate(ae, parameters(ae), batch, l1_weight, noise,
-                            want_grads=True)
+    _, _, grads = _evaluate(ae, parameters(ae), batch, l1_weight, noise, {})
     for name, grad in zip(_parameter_names(ae), grads):
         if not np.all(np.isfinite(grad)):
             raise ValueError(f"non-finite gradient for {name}")
@@ -466,23 +423,22 @@ def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
     """Full-batch training; returns (trained autoencoder, loss history).
 
     The history holds the loss at the start of each epoch.  Every epoch
-    writes its activations and gradients into one workspace, built once
-    for the batch's row count.  A non-finite loss or gradient aborts with TrainingDivergedError carrying the
-    history collected so far.
+    writes its activations and gradients into one workspace, whose
+    buffers the first epoch makes.  A non-finite loss or gradient aborts
+    with TrainingDivergedError carrying the history collected so far.
     """
     batch = _check_batch(ae, data)
     rng = np.random.default_rng(config.seed)
     params = parameters(ae)
     state = init_adam(params)
-    workspace = _workspace(ae, batch.shape[0], want_grads=True)
+    workspace = {}
     history = []
 
     for _ in range(config.epochs):
         noise = None
         if ae.variant.kind == "variational":
             noise = rng.standard_normal((batch.shape[0], ae.code_dim))
-        total, _, grads = _evaluate(ae, params, batch, config.l1_weight, noise,
-                                    want_grads=True, workspace=workspace)
+        total, _, grads = _evaluate(ae, params, batch, config.l1_weight, noise, workspace)
         if not np.isfinite(total):
             raise TrainingDivergedError(history)
         history.append(total)

@@ -230,7 +230,7 @@ def _pipeline_cells(spec: ScenarioSpec, columns: dict, errors: dict,
     names = [name for member in config.bank.members
              for name in member_feature_names(member)]
     cells = {}
-    depth, failure = 0, None
+    failure = None
     try:
         for name in names:
             if name in errors:
@@ -253,11 +253,8 @@ def _pipeline_cells(spec: ScenarioSpec, columns: dict, errors: dict,
                 spec.name, PIPELINE_METHOD, depth, result.summary.fdr,
                 result.summary.far, result.valid_from, spec.seed,
             )
-    except ValueError as error:
+    except (ValueError, RuntimeError) as error:
         failure = str(error)
-    except RuntimeError as error:
-        # Training of the layer after the last yielded stage diverged.
-        failure = f"layer {depth}: {error}"
     return [cells[d] if d in cells else
             ReportCell(spec.name, PIPELINE_METHOD, d, None, None, 0, spec.seed,
                        error=failure)

@@ -17,7 +17,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .autoencoder import Autoencoder, Layer, TrainConfig, Variant
+from .autoencoder import Autoencoder, Layer, TrainConfig, TrainingDivergedError, Variant
 from .datasets import ProcessDataset, ScalerStats, field_text, read_ini, read_section
 from .decision import DecisionModel, alarms, detection_index, fit_decision
 from .detectors import (
@@ -142,7 +142,8 @@ def stages(steps, train: FeatureMatrix | None = None,
     on. With training features each step is a LayerConfig fitted on the
     previous training stage, else a fitted TransformLayer; test features
     pass through the same layers, so each test stage is computed once. A
-    side given as None yields None."""
+    side given as None yields None. A fit's ValueError or
+    TrainingDivergedError is raised again with its layer named."""
     layers = ()
     yield layers, train, test
     for index, step in enumerate(steps):
@@ -150,8 +151,9 @@ def stages(steps, train: FeatureMatrix | None = None,
         if train is not None:
             try:
                 layer, train = fit_layer(train, step)
-            except ValueError as error:
-                raise ValueError(f"layer {index}: {error}") from error
+            except (ValueError, TrainingDivergedError) as error:
+                error.args = (f"layer {index}: {error}",)
+                raise
         layers += (layer,)
         if test is not None:
             test = apply_layer(layer, test)
@@ -219,6 +221,10 @@ def detect(model: FenetModel, test: ProcessDataset) -> DetectionResult:
         raise ValueError(
             f"test data has {test.n_variables} variables, model expects {expected}"
         )
+    # Each layer's window consumes width - 1 leading rows.
+    needed = 1 + sum(layer.window_width - 1 for layer in model.layers)
+    if test.n_samples < needed:
+        raise ValueError(f"test data has {test.n_samples} rows, model needs at least {needed}")
     for _, _, features in stages(model.layers,
                                  test=build_feature_matrix(model.bank, test)):
         pass

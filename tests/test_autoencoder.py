@@ -15,6 +15,7 @@ from fenkit.autoencoder import (
     TrainConfig,
     TrainingDivergedError,
     Variant,
+    _evaluate,
     adam_step,
     forward,
     gradients,
@@ -472,6 +473,29 @@ class TestTrain:
         ae = init_autoencoder(8, 4, variant, seed=44, hidden_dims=(16, 8))
         self.assert_matches_public_gradient_loop(
             ae, data, TrainConfig(epochs=4, l1_weight=0.5, seed=15))
+
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE], ids=lambda v: v.kind)
+    def test_workspace_buffers_are_reused(self, variant):
+        """A second pass over the same workspace, as train's next epoch,
+        makes no new buffer, writes into the same arrays, and returns
+        what a pass over a fresh workspace does, byte for byte."""
+        rng = np.random.default_rng(45)
+        ae = init_autoencoder(8, 4, variant, seed=46, hidden_dims=(16, 8))
+        data = rng.standard_normal((50, 8))
+        noise = rng.standard_normal((50, 4)) if variant.kind == "variational" else None
+        workspace = {}
+        _evaluate(ae, parameters(ae), data, 0.5, noise, workspace)
+        first = dict(workspace)
+        assert first
+        # Other parameters, so that anything left from the first pass would show.
+        params = [p + 0.1 * rng.standard_normal(p.shape) for p in parameters(ae)]
+        reused = _evaluate(ae, params, data, 0.5, noise, workspace)
+        assert workspace.keys() == first.keys()
+        assert all(workspace[key] is array for key, array in first.items())
+        fresh = _evaluate(ae, params, data, 0.5, noise, {})
+        assert reused[:2] == fresh[:2]
+        for left, right in zip(reused[2], fresh[2], strict=True):
+            assert left.tobytes() == right.tobytes()
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):

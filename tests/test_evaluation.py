@@ -386,6 +386,19 @@ class TestRunExperiment:
         assert by_depth[2].error is not None
         assert "layer 1" in by_depth[2].error
 
+    def test_diverged_layer_keeps_shallower_depths(self):
+        """A second layer whose training diverges fails only the depth-2
+        cell, which names the layer."""
+        first, second = pipeline.resolve_layer_configs(PIPELINE)
+        second = replace(second, training=replace(second.training, learning_rate=1e100))
+        grid = ExperimentGrid(scenarios=(step_scenario(),), methods=("ae",),
+                              depths=(0, 1, 2),
+                              pipeline=replace(PIPELINE, layers=(first, second)))
+        by_depth = {c.l_max: c for c in run_experiment(grid).cells}
+        assert by_depth[0].error is None
+        assert by_depth[1].error is None
+        assert by_depth[2].error == "layer 1: training diverged: loss is no longer finite"
+
 
 class TestGridHash:
     def test_stable(self, small_report):

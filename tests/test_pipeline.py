@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fenkit.autoencoder import TrainConfig, Variant
+from fenkit.autoencoder import TrainConfig, TrainingDivergedError, Variant
 from fenkit.datasets import SyntheticConfig, generate_synthetic
 from fenkit.detectors import DetectorBankConfig
 from fenkit.pipeline import (
@@ -140,6 +140,19 @@ class TestFit:
         with pytest.raises(ValueError, match="layer 1"):
             fit(short, small_config())
 
+    def test_diverged_training_names_layer(self, data_pair):
+        """A layer whose training diverges raises TrainingDivergedError
+        with its index in the message and the history up to divergence."""
+        train, _ = data_pair
+        first, second = resolve_layer_configs(small_config())
+        second = replace(second, training=replace(second.training, learning_rate=1e100))
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^layer 1: training diverged") as excinfo:
+            fit(train, small_config(layers=(first, second)))
+        history = excinfo.value.history
+        assert history.size >= 1
+        assert np.all(np.isfinite(history))
+
     def test_zero_depth_skips_transform(self, data_pair):
         """l_max=0 calibrates the decision directly on the seven bank
         features."""
@@ -226,6 +239,16 @@ class TestDetect:
             SyntheticConfig(n_variables=5, n_train=60, n_test=20, seed=1))
         with pytest.raises(ValueError, match="5 variables"):
             detect(fitted, wrong)
+
+    def test_record_shorter_than_the_windows_rejected(self, fitted, data_pair):
+        """Two width-20 windows need 1 + 19 + 19 = 39 rows; detect names
+        the record's row count and that need before the bank scores."""
+        _, test = data_pair
+        with pytest.raises(ValueError, match="38 rows, model needs at least 39"):
+            detect(fitted, test.split(38)[0])
+        result = detect(fitted, test.split(39)[0])
+        assert result.valid_from == 38
+        assert result.index_values.shape == (1,)
 
     def test_zero_depth_scores_every_row(self, data_pair):
         train, test = data_pair
