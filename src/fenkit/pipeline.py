@@ -17,7 +17,7 @@ from typing import get_args, get_origin
 
 import numpy as np
 
-from .autoencoder import Autoencoder, Layer, TrainConfig, TrainingDivergedError, Variant
+from .autoencoder import Autoencoder, Layer, TrainConfig, Variant
 from .datasets import ProcessDataset, ScalerStats, field_text, read_ini, read_section
 from .decision import DecisionModel, alarms, detection_index, fit_decision
 from .detectors import (
@@ -34,9 +34,9 @@ from .transform import (
     LayerConfig,
     PcaReduction,
     TransformLayer,
+    _fit_layer,
     apply_layer,
     derive_seed,
-    fit_layer,
 )
 
 MAGIC = b"FENETAE1"
@@ -141,22 +141,20 @@ def stages(steps, train: FeatureMatrix | None = None,
     features, test features) at every depth from the depth-0 bank features
     on. With training features each step is a LayerConfig fitted on the
     previous training stage, else a fitted TransformLayer; test features
-    pass through the same layers, so each test stage is computed once. A
-    side given as None yields None. A fit's ValueError or
-    TrainingDivergedError is raised again with its layer named."""
+    pass through the same layers, so each test stage is computed once, its
+    window spectra while the layer trains. A side given as None yields
+    None. A fit's ValueError or TrainingDivergedError is raised again with
+    its layer named; the test side's errors follow it unnamed."""
     layers = ()
     yield layers, train, test
     for index, step in enumerate(steps):
-        layer = step
         if train is not None:
-            try:
-                layer, train = fit_layer(train, step)
-            except (ValueError, TrainingDivergedError) as error:
-                error.args = (f"layer {index}: {error}",)
-                raise
+            layer, train, test = _fit_layer(train, step, test, f"layer {index}: ")
+        else:
+            layer = step
+            if test is not None:
+                test = apply_layer(layer, test)
         layers += (layer,)
-        if test is not None:
-            test = apply_layer(layer, test)
         yield layers, train, test
 
 

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ from .autoencoder import (
     DEFAULT_HIDDEN_DIMS,
     Autoencoder,
     TrainConfig,
+    TrainingDivergedError,
     Variant,
     forward,
     init_autoencoder,
@@ -181,22 +183,23 @@ def _normalized_singular_values(windows: np.ndarray) -> np.ndarray:
 def _normalized(windows: np.ndarray) -> np.ndarray:
     """Each window minus its pooled mean, over its pooled std.
 
-    A window whose entries are all equal is centred on that entry, as its
-    pooled mean need not round to it; its spectra are then exactly zero.
-    A finite window whose std overflows is divided by its largest
-    magnitude first, which leaves its normalised form unchanged.
+    The mean and the n - 1 std are numpy's mean and std to the byte, with
+    the mean computed and subtracted once.  A window whose entries are all
+    equal normalises to exactly zero, as its pooled mean need not round to
+    that entry.  A finite window whose std overflows is divided by its
+    largest magnitude first, which leaves its normalised form unchanged.
     """
-    first = windows[:, :1, :1]
-    mean = np.where(np.all(windows == first, axis=(1, 2), keepdims=True), first,
-                    windows.mean(axis=(1, 2), keepdims=True))
-    std = windows.std(axis=(1, 2), ddof=1, keepdims=True)
-    normalized = (windows - mean) / np.maximum(std, EPS_STD)
+    count = windows.shape[1] * windows.shape[2]
+    centred = windows - windows.sum(axis=(1, 2), keepdims=True) / count
+    std = np.sqrt((centred * centred).sum(axis=(1, 2), keepdims=True) / (count - 1))
+    centred /= np.maximum(std, EPS_STD)
+    centred[np.all(windows == windows[:, :1, :1], axis=(1, 2))] = 0.0
     if not np.all(np.isfinite(std)):
         huge = ~np.isfinite(std[:, 0, 0]) & np.all(np.isfinite(windows), axis=(1, 2))
         scaled = windows[huge]
-        normalized[huge] = _normalized(
+        centred[huge] = _normalized(
             scaled / np.abs(scaled).max(axis=(1, 2), keepdims=True))
-    return normalized
+    return centred
 
 
 def _sliding_windows(values: np.ndarray, window_width: int) -> np.ndarray:
@@ -232,14 +235,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> FeatureMatrix:
-    """Concatenate per-subset singular-value rows across all windows.
+@contextmanager
+def _helpers():
+    """A pool of _cpu_count() - 1 helper threads, at least one, beside the
+    calling thread; a helper starts only when a queued job needs it.  On
+    exit the jobs still queued are cancelled and every helper is joined."""
+    pool = ThreadPoolExecutor(max_workers=max(1, _cpu_count() - 1))
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    Row r holds the spectra of the windows ending at sample r + w - 1;
-    the sample_offset advances accordingly.  The subsets run on a pool of
-    one thread per CPU, which is closed before the call returns; every
-    window is decomposed alone, so the bytes do not depend on the pool.
-    """
+
+def _queue_spectra(pool, features: FeatureMatrix, subsets, window_width: int):
+    """Queue one _subset_spectra job per subset on pool.  Returns a call
+    that runs on the calling thread each queued job no helper has started,
+    waits for the rest and returns build_fused_matrix's FeatureMatrix.  The
+    first failing job in queue order raises from that call."""
     n = features.n_samples
     if n < window_width:
         raise ValueError(f"{n} rows cannot host a window of width {window_width}")
@@ -247,13 +259,40 @@ def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> F
         raise ValueError("fused matrix needs at least one column subset")
     edges = np.cumsum([0] + [len(subset) for subset in subsets])
     fused = np.empty((n - window_width + 1, edges[-1]))
-    with ThreadPoolExecutor(max_workers=min(len(subsets), _cpu_count())) as pool:
-        jobs = [pool.submit(_subset_spectra, features.values, subset, window_width,
-                            fused[:, start:stop])
-                for subset, start, stop in zip(subsets, edges[:-1], edges[1:])]
-        for job in jobs:
-            job.result()
-    return FeatureMatrix(fused, sample_offset=features.sample_offset + window_width - 1)
+    jobs = []
+    for subset, start, stop in zip(subsets, edges[:-1], edges[1:]):
+        args = (features.values, subset, window_width, fused[:, start:stop])
+        jobs.append((pool.submit(_subset_spectra, *args), args))
+
+    def finish() -> FeatureMatrix:
+        failed = None
+        for index, (future, args) in enumerate(jobs):
+            if future.cancel():
+                try:
+                    _subset_spectra(*args)
+                except Exception as error:  # raised after any earlier job's error
+                    failed = index, error
+                    break
+        for future, _ in jobs[:failed[0] if failed else None]:
+            if not future.cancelled():
+                future.result()
+        if failed:
+            raise failed[1]
+        return FeatureMatrix(fused, sample_offset=features.sample_offset + window_width - 1)
+    return finish
+
+
+def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> FeatureMatrix:
+    """Concatenate per-subset singular-value rows across all windows.
+
+    Row r holds the spectra of the windows ending at sample r + w - 1;
+    the sample_offset advances accordingly.  The subsets run on the
+    calling thread and its helpers, which are joined before the call
+    returns; every window is decomposed alone, so the bytes do not depend
+    on which thread ran it.
+    """
+    with _helpers() as pool:
+        return _queue_spectra(pool, features, subsets, window_width)()
 
 
 def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
@@ -278,39 +317,83 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
     Subset sampling and autoencoder initialization derive their seeds
     from config.seed; the training seed lives in config.training.
     """
-    m_l = features.n_features
-    _require_wider_window(config.window_width, m_l)
-    if config.subset_size > m_l:
-        raise ValueError(f"subset_size {config.subset_size} exceeds {m_l} input features")
+    layer, codes, _ = _fit_layer(features, config)
+    return layer, codes
 
-    subsets = select_column_subsets(m_l, config.subset_size, config.max_subsets,
-                                    derive_seed(config.seed, 0))
-    fused = build_fused_matrix(features, subsets, config.window_width)
-    reduction, reduced = fit_pca_reduction(fused.values, config.pca_variance_fraction)
-    score_scale = column_std(reduced)
-    scaled = reduced / score_scale
 
-    ae = init_autoencoder(scaled.shape[1], config.code_dim, config.ae_variant,
-                          derive_seed(config.seed, 1), hidden_dims=config.hidden_dims)
-    trained, _ = train(ae, scaled, config.training)
-    codes, _ = forward(trained, scaled)
+def _fit_layer(features: FeatureMatrix, config: LayerConfig,
+               test: FeatureMatrix | None = None, error_prefix: str = "") -> tuple:
+    """fit_layer that also runs an optional test record through the fitted
+    layer: (TransformLayer, U^{l+1}, the test record's U^{l+1} or None).
 
-    layer = TransformLayer(config.window_width, m_l, tuple(subsets), reduction,
-                           score_scale, trained)
-    return layer, FeatureMatrix(codes, sample_offset=fused.sample_offset)
+    The test record's spectra need only the column subsets, so their jobs
+    are queued on helper threads once the training spectra are built and
+    run while the autoencoder trains; the test codes equal apply_layer's
+    to the byte.  A ValueError or TrainingDivergedError of the training
+    side carries error_prefix.  The test side raises apply_layer's errors,
+    unprefixed and only after the training side has finished.
+    """
+    with _helpers() as pool:
+        try:
+            m_l = features.n_features
+            _require_wider_window(config.window_width, m_l)
+            if config.subset_size > m_l:
+                raise ValueError(f"subset_size {config.subset_size} exceeds {m_l} input features")
+            subsets = select_column_subsets(m_l, config.subset_size, config.max_subsets,
+                                            derive_seed(config.seed, 0))
+            fused = build_fused_matrix(features, subsets, config.window_width)
+            if test is not None:
+                try:  # raised once the training side has finished
+                    _require_input_width(m_l, test)
+                    test_spectra = _queue_spectra(pool, test, subsets, config.window_width)
+                except ValueError as error:
+                    test_spectra = error
+            reduction, reduced = fit_pca_reduction(fused.values, config.pca_variance_fraction)
+            score_scale = column_std(reduced)
+            scaled = reduced / score_scale
+
+            ae = init_autoencoder(scaled.shape[1], config.code_dim, config.ae_variant,
+                                  derive_seed(config.seed, 1), hidden_dims=config.hidden_dims)
+            trained, _ = train(ae, scaled, config.training)
+            codes, _ = forward(trained, scaled)
+            layer = TransformLayer(config.window_width, m_l, tuple(subsets), reduction,
+                                   score_scale, trained)
+            train_codes = FeatureMatrix(codes, sample_offset=fused.sample_offset)
+        except (ValueError, TrainingDivergedError) as error:
+            error.args = (f"{error_prefix}{error}",)
+            raise
+        if test is None:
+            return layer, train_codes, None
+        if isinstance(test_spectra, ValueError):
+            raise test_spectra
+        return layer, train_codes, _encode(layer, *_scaled(layer, test_spectra()))
+
+
+def _require_input_width(input_features: int, features: FeatureMatrix) -> None:
+    if features.n_features != input_features:
+        raise ValueError(
+            f"feature matrix has {features.n_features} columns, layer was fitted "
+            f"on {input_features}"
+        )
 
 
 def _scaled_inputs(layer: TransformLayer, features: FeatureMatrix) -> tuple:
     """(autoencoder inputs, sample_offset) of U^l through the frozen
     spectra, PCA reduction and score scale."""
-    if features.n_features != layer.input_features:
-        raise ValueError(
-            f"feature matrix has {features.n_features} columns, layer was fitted "
-            f"on {layer.input_features}"
-        )
-    fused = build_fused_matrix(features, layer.subsets, layer.window_width)
+    _require_input_width(layer.input_features, features)
+    return _scaled(layer, build_fused_matrix(features, layer.subsets, layer.window_width))
+
+
+def _scaled(layer: TransformLayer, fused: FeatureMatrix) -> tuple:
+    """(autoencoder inputs, sample_offset) of a record's spectra through
+    the frozen PCA reduction and score scale."""
     reduced = (fused.values - layer.reduction.mean) @ layer.reduction.projection
     return reduced / layer.score_scale, fused.sample_offset
+
+
+def _encode(layer: TransformLayer, scaled: np.ndarray, sample_offset: int) -> FeatureMatrix:
+    codes, _ = forward(layer.autoencoder, scaled)
+    return FeatureMatrix(codes, sample_offset=sample_offset)
 
 
 def layer_loss(layer: TransformLayer, features: FeatureMatrix, l1_weight: float) -> tuple:
@@ -319,13 +402,10 @@ def layer_loss(layer: TransformLayer, features: FeatureMatrix, l1_weight: float)
     loss is the post-training loss and U^{l+1} equals apply_layer's output."""
     scaled, sample_offset = _scaled_inputs(layer, features)
     total, parts = loss(layer.autoencoder, scaled, l1_weight)
-    codes, _ = forward(layer.autoencoder, scaled)
-    return total, parts, FeatureMatrix(codes, sample_offset=sample_offset)
+    return total, parts, _encode(layer, scaled, sample_offset)
 
 
 def apply_layer(layer: TransformLayer, features: FeatureMatrix) -> FeatureMatrix:
     """Run U^l through the frozen layer; bit-identical to the fit-time
     output on the training features."""
-    scaled, sample_offset = _scaled_inputs(layer, features)
-    codes, _ = forward(layer.autoencoder, scaled)
-    return FeatureMatrix(codes, sample_offset=sample_offset)
+    return _encode(layer, *_scaled_inputs(layer, features))

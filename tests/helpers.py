@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's own code paths: singular values
 come from a Gram-matrix eigendecomposition, gradients from central finite
-differences of the public loss function.  The one exception is
-per_subset_spectra, the single-stack reference of the blocked spectra.
+differences of the public loss function.  The exceptions are
+per_subset_spectra, the single-stack reference of the blocked spectra, and
+numpy_normalized, the reference of the window normalization.
 """
 
 import numpy as np
 
 from fenkit import autoencoder
+from fenkit.numerics import EPS_STD
 from fenkit.transform import _normalized_singular_values
 
 
@@ -54,3 +56,21 @@ def per_subset_spectra(values: np.ndarray, subsets, window_width: int) -> np.nda
     stacks = [np.swapaxes(np.lib.stride_tricks.sliding_window_view(
         values[:, list(subset)], window_width, axis=0), 1, 2) for subset in subsets]
     return np.hstack([_normalized_singular_values(stack) for stack in stacks])
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def numpy_normalized(windows: np.ndarray) -> np.ndarray:
+    """Each (w, h) window of a stack minus np.mean, over np.std with
+    ddof=1; a window of equal entries is centred on that entry, and a finite
+    window whose std overflows is first divided by its largest magnitude."""
+    first = windows[:, :1, :1]
+    mean = np.where(np.all(windows == first, axis=(1, 2), keepdims=True), first,
+                    windows.mean(axis=(1, 2), keepdims=True))
+    std = windows.std(axis=(1, 2), ddof=1, keepdims=True)
+    normalized = (windows - mean) / np.maximum(std, EPS_STD)
+    huge = ~np.isfinite(std[:, 0, 0]) & np.all(np.isfinite(windows), axis=(1, 2))
+    if huge.any():
+        scaled = windows[huge]
+        normalized[huge] = numpy_normalized(
+            scaled / np.abs(scaled).max(axis=(1, 2), keepdims=True))
+    return normalized

@@ -3,12 +3,14 @@ completeness, per-cell error capture, report determinism, and the
 depth-prefix consistency of the pipeline cells."""
 
 import csv
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fenkit import detectors, evaluation, pipeline
+from fenkit import detectors, evaluation, pipeline, transform
 from fenkit.autoencoder import TrainConfig
 from fenkit.datasets import ProcessDataset, SyntheticConfig, generate_synthetic, write_csv
 from fenkit.detectors import (
@@ -330,21 +332,57 @@ class TestRunExperiment:
         assert dpca_t2.error is None and dpca_q.error is None
 
     def test_each_test_stage_scored_once(self, monkeypatch):
-        """Depths 0-2 apply each fitted layer to the test record once:
-        two layer applications, not one per layer per deeper depth."""
-        applied = []
-        apply_layer = pipeline.apply_layer
+        """Depths 0-2 run each fitted layer's column subsets over the test
+        record once: one spectra job per layer and subset, not one per
+        layer per deeper depth.  The step scenario's 160 training and 140
+        test rows (141 and 121 at layer 1) tell the records apart."""
+        jobs = []
+        subset_spectra = transform._subset_spectra
 
-        def counting(layer, features):
-            applied.append(layer)
-            return apply_layer(layer, features)
+        def counting(values, subset, window_width, out):
+            jobs.append((len(values), tuple(subset)))
+            subset_spectra(values, subset, window_width, out)
 
-        monkeypatch.setattr(pipeline, "apply_layer", counting)
+        monkeypatch.setattr(transform, "_subset_spectra", counting)
         grid = ExperimentGrid(scenarios=(step_scenario(),), methods=("ae",),
                               depths=(0, 1, 2), pipeline=PIPELINE)
+        before = threading.active_count()
         report = run_experiment(grid)
+        assert threading.active_count() == before
         assert all(cell.error is None for cell in report.cells)
-        assert len(applied) == 2
+        counts = Counter(jobs)
+        assert set(counts.values()) == {1}
+        assert {rows for rows, _ in counts} == {160, 140, 141, 121}
+        for train_rows, test_rows in ((160, 140), (141, 121)):
+            subsets = {subset for rows, subset in counts if rows == train_rows}
+            assert {subset for rows, subset in counts if rows == test_rows} == subsets
+
+    def test_short_test_record_fails_deeper_cells_unnamed(self):
+        """A test record shorter than the first window fails the depth-1
+        and depth-2 cells with the spectra's own message, after layer 0
+        has trained; depth 0 still scores."""
+        spec = ScenarioSpec("short_test", synthetic=SyntheticConfig(
+            n_variables=6, n_train=160, n_test=15, seed=23))
+        grid = ExperimentGrid(scenarios=(spec,), methods=("ae",),
+                              depths=(0, 1, 2), pipeline=PIPELINE)
+        before = threading.active_count()
+        by_depth = {c.l_max: c for c in run_experiment(grid).cells}
+        assert threading.active_count() == before
+        assert by_depth[0].error is None
+        assert by_depth[1].error == "15 rows cannot host a window of width 20"
+        assert by_depth[2].error == by_depth[1].error
+
+    def test_training_error_precedes_a_short_test_record(self):
+        """Training too short for layer 0 and a test record too short for
+        its window: the training side's named error wins."""
+        spec = ScenarioSpec("both_short", synthetic=SyntheticConfig(
+            n_variables=6, n_train=12, n_test=15, seed=24))
+        grid = ExperimentGrid(scenarios=(spec,), methods=("ae",),
+                              depths=(1,), pipeline=PIPELINE)
+        before = threading.active_count()
+        (cell,) = run_experiment(grid).cells
+        assert threading.active_count() == before
+        assert cell.error == "layer 0: 12 rows cannot host a window of width 20"
 
     def test_determinism(self, small_report):
         grid, report = small_report
@@ -394,7 +432,9 @@ class TestRunExperiment:
         grid = ExperimentGrid(scenarios=(step_scenario(),), methods=("ae",),
                               depths=(0, 1, 2),
                               pipeline=replace(PIPELINE, layers=(first, second)))
+        before = threading.active_count()
         by_depth = {c.l_max: c for c in run_experiment(grid).cells}
+        assert threading.active_count() == before
         assert by_depth[0].error is None
         assert by_depth[1].error is None
         assert by_depth[2].error == "layer 1: training diverged: loss is no longer finite"

@@ -4,14 +4,19 @@ container, and the sectioned config file."""
 import hashlib
 import json
 import struct
+import sys
+import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fenkit import transform
 from fenkit.autoencoder import TrainConfig, TrainingDivergedError, Variant
 from fenkit.datasets import SyntheticConfig, generate_synthetic
 from fenkit.detectors import DetectorBankConfig
+from fenkit.ensemble import FeatureMatrix, build_feature_matrix
 from fenkit.pipeline import (
     DEFAULT_LAYER_TEMPLATE,
     FORMAT_VERSION,
@@ -26,6 +31,7 @@ from fenkit.pipeline import (
     read_pipeline_config,
     resolve_layer_configs,
     save,
+    stages,
     write_pipeline_config,
 )
 from fenkit.transform import LayerConfig
@@ -189,6 +195,48 @@ class TestFit:
                         fitted.layers[0].autoencoder.encoder_layers):
             assert np.array_equal(a.weights, b.weights)
             assert np.array_equal(a.bias, b.bias)
+
+
+class TestStages:
+    def test_two_record_walk_equals_the_frozen_chain(self, data_pair, fitted,
+                                                     monkeypatch):
+        """Walking the training and test records together fits fit's
+        layers, and every test stage equals those layers applied to the
+        test record alone, byte for byte, with seven helper threads under a
+        short switch interval."""
+        monkeypatch.setattr(transform, "_cpu_count", lambda: 8)
+        depth0 = [build_feature_matrix(fitted.bank, data) for data in data_pair]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            walked = list(stages(fitted.config.layers, *depth0))
+        finally:
+            sys.setswitchinterval(interval)
+        walked_blob, fitted_blob = bytearray(), bytearray()
+        assert encode(walked[-1][0], walked_blob) == encode(fitted.layers, fitted_blob)
+        assert walked_blob == fitted_blob
+        alone = [test for _, _, test in stages(fitted.layers, test=depth0[1])]
+        assert len(alone) == len(walked) == 3
+        for (_, _, test), reference in zip(walked, alone):
+            assert test.sample_offset == reference.sample_offset
+            assert test.values.tobytes() == reference.values.tobytes()
+
+    def test_non_finite_test_record_fails_unnamed_after_training(self):
+        """A NaN in the test record surfaces the spectra's own error once
+        layer 0 has trained, without the layer's name; no helper thread
+        outlives the walk."""
+        train = FeatureMatrix(np.random.default_rng(41).standard_normal((160, 6)))
+        values = np.random.default_rng(42).standard_normal((140, 6))
+        values[70, 2] = np.nan
+        test = SimpleNamespace(values=values, n_samples=140, n_features=6,
+                               sample_offset=0)
+        walk = stages(resolve_layer_configs(small_config()), train, test)
+        before = threading.active_count()
+        next(walk)
+        with pytest.raises(ValueError) as raised:
+            next(walk)
+        assert threading.active_count() == before
+        assert str(raised.value) == "singular_values requires finite entries"
 
 
 class TestDetect:

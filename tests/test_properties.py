@@ -25,7 +25,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import per_subset_spectra
+from helpers import numpy_normalized, per_subset_spectra
 
 from fenkit import transform
 from fenkit.autoencoder import VARIANT_KINDS, TrainConfig, Variant
@@ -426,7 +426,34 @@ def degenerate_windows(draw):
     return values, subsets, width
 
 
+@st.composite
+def window_stacks(draw):
+    """Sliding-window stacks over columns scaled by 1e-3 to 1e3 and offset
+    by up to +-50, with an optional run of rows holding one constant and an
+    optional run of rows scaled by 1e200."""
+    width = draw(st.integers(2, 40))
+    m = draw(st.integers(1, 6))
+    n = width + draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(SEEDS))
+    values = (np.cumsum(rng.standard_normal((n, m)), axis=0)
+              * 10.0 ** rng.uniform(-3.0, 3.0, m) + rng.uniform(-50.0, 50.0, m))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - 1))
+        values[start:start + draw(st.integers(1, n))] = draw(MODERATE)
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n - 1)):] *= 1e200
+    return np.swapaxes(np.lib.stride_tricks.sliding_window_view(values, width, axis=0),
+                       1, 2)
+
+
 class TestWindowSpectra:
+    @SETTINGS
+    @given(window_stacks())
+    def test_normalization_is_numpys_mean_and_std(self, windows):
+        """Centring each window once gives np.mean and np.std's bytes."""
+        assert (transform._normalized(windows).tobytes()
+                == numpy_normalized(windows).tobytes())
+
     @SETTINGS
     @given(degenerate_windows(), st.integers(2, 8))
     def test_degenerate_windows(self, case, block_windows):
