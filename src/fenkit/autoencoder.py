@@ -133,12 +133,13 @@ class AdamState:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    """1 / (1 + e) for z >= 0 and e / (1 + e) otherwise, with e = exp(-|z|),
+    which never overflows.  e is exp(-z) or exp(z) by the same mask, not
+    exp(-abs(z)), so a NaN keeps its sign bit."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    denominator = 1.0 + e
+    return np.where(pos, 1.0 / denominator, e / denominator)
 
 
 def init_autoencoder(input_dim: int, code_dim: int, variant: Variant, seed: int,

@@ -328,6 +328,22 @@ def _feature_map(kernel: str, rows: np.ndarray, degree: float, offset: float) ->
     return np.column_stack(columns)
 
 
+_CENTER_BLOCK_ROWS = 256
+
+
+def _center_symmetric(gram: np.ndarray, row_mean: np.ndarray, grand_mean: float) -> None:
+    """gram_ij - (row_mean_i + row_mean_j) + grand_mean, written over gram
+    in row blocks; r_i + r_j == r_j + r_i, so an exactly symmetric gram
+    stays exactly symmetric and sym_eig needs no copy of it."""
+    pair_sums = np.empty((_CENTER_BLOCK_ROWS, gram.shape[1]))
+    for start in range(0, gram.shape[0], _CENTER_BLOCK_ROWS):
+        block = gram[start:start + _CENTER_BLOCK_ROWS]
+        rows = block.shape[0]
+        block -= np.add(row_mean[start:start + rows, None], row_mean[None, :],
+                        out=pair_sums[:rows])
+        block += grand_mean
+
+
 def _retained_components(eigenvalues: np.ndarray, variance_fraction: float) -> int:
     """retained_count of a centred kernel matrix's descending eigenvalues,
     from either form: the dual's eigh or the primal's squared singular
@@ -349,11 +365,14 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     A kernel with an explicit feature map narrower than the training rows
     is fitted in primal form, by a thin SVD of the centred feature matrix
     (Schoelkopf, Smola & Mueller 1998); every other kernel in dual form,
-    on the n x n kernel matrix.  Both give the same T2.  The kernel matrix
-    is n x n, so training rows beyond max_train_rows are thinned by a
-    deterministic stride.  The rbf bandwidth defaults to the median
-    pairwise distance of the retained rows.
+    on the n x n kernel matrix, which is centred in place and handed to
+    sym_eig as it is.  Both give the same T2.  The kernel matrix is n x n,
+    so training rows beyond max_train_rows are thinned by a deterministic
+    stride.  The rbf bandwidth defaults to the median pairwise distance of
+    the retained rows; an explicit one must be finite and positive.
     """
+    if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0.0):
+        raise ValueError(f"rbf bandwidth must be finite and positive, got {bandwidth}")
     require_variation(train.values)
     scaler = fit_standardize(train.values)
     rows = standardized(train.values, scaler)
@@ -364,7 +383,8 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     sq = _squared_distances(rows, rows) if kernel == "rbf" else None
     if sq is not None and bandwidth is None:
         bandwidth = max(_median_distance(sq), EPS_STD)
-    params = {"degree": degree, "offset": offset, "bandwidth": bandwidth or 1.0}
+    params = {"degree": degree, "offset": offset,
+              "bandwidth": 1.0 if bandwidth is None else float(bandwidth)}
 
     if width is not None and width < rows.shape[0]:
         centered = _feature_map(kernel, rows, degree, offset)
@@ -375,16 +395,12 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         alphas = vt[:t].T * singular[:t]
         train_rows, grand_mean = rows[:0], 0.0
     else:
-        # Centred in place, as the Gram matrix is the fit's largest array;
-        # the steps round (i, j) and (j, i) apart, so symmetrise for sym_eig.
         centered = (kernel_matrix(kernel, rows, rows, **params) if sq is None
                     else _rbf_from_squared(sq, params["bandwidth"]))
         row_mean = centered.mean(axis=1)
         grand_mean = float(centered.mean())
-        centered -= row_mean[None, :]
-        centered -= row_mean[:, None]
-        centered += grand_mean
-        eigenvalues, eigenvectors = sym_eig((centered + centered.T) / 2.0)
+        _center_symmetric(centered, row_mean, grand_mean)
+        eigenvalues, eigenvectors = sym_eig(centered)
         t = _retained_components(eigenvalues, variance_fraction)
         alphas = eigenvectors[:, :t]
         train_rows = rows

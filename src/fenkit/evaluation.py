@@ -36,6 +36,7 @@ from .detectors import (
     member_feature_names,
 )
 from .ensemble import FeatureMatrix
+from .numerics import frozen
 from .pipeline import (
     CONFIG_SECTIONS,
     PipelineConfig,
@@ -235,7 +236,7 @@ def _pipeline_cells(spec: ScenarioSpec, columns: dict, errors: dict,
         for name in names:
             if name in errors:
                 raise ValueError(errors[name])
-        depth0 = [FeatureMatrix(np.column_stack([columns[n][side] for n in names]))
+        depth0 = [FeatureMatrix(frozen(np.column_stack([columns[n][side] for n in names])))
                   for side in (0, 1)]
         for layers, train_features, test_features in stages(layer_configs, *depth0):
             depth = len(layers)

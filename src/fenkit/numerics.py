@@ -18,11 +18,16 @@ SYMMETRY_TOL = 1e-9
 _EIG_FLOOR = 1e-12
 
 
+def frozen(array: np.ndarray) -> np.ndarray:
+    """The array itself, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
 def freeze_arrays(instance, **arrays) -> None:
     """Make each array read-only and store it on a frozen dataclass."""
     for name, array in arrays.items():
-        array.setflags(write=False)
-        object.__setattr__(instance, name, array)
+        object.__setattr__(instance, name, frozen(array))
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -34,6 +34,7 @@ from .numerics import (
     EPS_STD,
     column_std,
     freeze_arrays,
+    frozen,
     principal_subspace,
     singular_values,
 )
@@ -278,7 +279,8 @@ def _queue_spectra(pool, features: FeatureMatrix, subsets, window_width: int):
                 future.result()
         if failed:
             raise failed[1]
-        return FeatureMatrix(fused, sample_offset=features.sample_offset + window_width - 1)
+        return FeatureMatrix(frozen(fused),
+                             sample_offset=features.sample_offset + window_width - 1)
     return finish
 
 
@@ -358,7 +360,7 @@ def _fit_layer(features: FeatureMatrix, config: LayerConfig,
             codes, _ = forward(trained, scaled)
             layer = TransformLayer(config.window_width, m_l, tuple(subsets), reduction,
                                    score_scale, trained)
-            train_codes = FeatureMatrix(codes, sample_offset=fused.sample_offset)
+            train_codes = FeatureMatrix(frozen(codes), sample_offset=fused.sample_offset)
         except (ValueError, TrainingDivergedError) as error:
             error.args = (f"{error_prefix}{error}",)
             raise
@@ -393,7 +395,7 @@ def _scaled(layer: TransformLayer, fused: FeatureMatrix) -> tuple:
 
 def _encode(layer: TransformLayer, scaled: np.ndarray, sample_offset: int) -> FeatureMatrix:
     codes, _ = forward(layer.autoencoder, scaled)
-    return FeatureMatrix(codes, sample_offset=sample_offset)
+    return FeatureMatrix(frozen(codes), sample_offset=sample_offset)
 
 
 def layer_loss(layer: TransformLayer, features: FeatureMatrix, l1_weight: float) -> tuple:

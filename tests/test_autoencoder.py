@@ -16,6 +16,7 @@ from fenkit.autoencoder import (
     TrainingDivergedError,
     Variant,
     _evaluate,
+    _sigmoid,
     adam_step,
     forward,
     gradients,
@@ -108,6 +109,29 @@ class TestInit:
     @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE])
     def test_code_dim_is_decoder_input_width(self, variant):
         assert zero_net(variant, code_dim=3).code_dim == 3
+
+
+def _masked_sigmoid(z):
+    """The sigmoid as two boolean gathers and scatters, each side in its
+    overflow-free form."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_bytes_match_masked_form():
+    """Same per-element operations as the masked form, so the same bytes,
+    NaN sign bits included, and no overflow warning at +-800 or +-inf."""
+    rng = np.random.default_rng(60)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 800.0, -800.0,
+                        745.2, -745.2, 36.8, -36.8, 1e-300, -1e-300])
+    for z in (special, 10.0 * rng.standard_normal(5000),
+              1000.0 * rng.standard_normal((40, 6))):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
 
 
 class TestForward:

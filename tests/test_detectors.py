@@ -3,6 +3,7 @@ quadratic-form oracles, lag handling, kernel baselines, bank assembly and
 control limits."""
 
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -329,8 +330,9 @@ class TestKpca:
     @pytest.mark.parametrize("seed", range(4))
     def test_poly_fit_with_far_outliers(self, seed):
         """Two training rows near +-10 sigma on ten channels give poly
-        kernel entries near 1e8, where one rounding step of the centring
-        exceeds sym_eig's absolute symmetry bound; the fit still succeeds."""
+        kernel entries near 1e8, where one rounding step exceeds sym_eig's
+        absolute symmetry bound; the centring rounds (i, j) and (j, i)
+        alike, so the fit still succeeds."""
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((200, 10))
         values[5] = 10.0 + rng.standard_normal(10)
@@ -367,14 +369,44 @@ class TestKpca:
     def test_dual_dispatch(self, monkeypatch, kernel, kwargs, m):
         """RBF, non-integer degrees, negative offsets and a feature map at
         least as wide as the 200 training rows eigendecompose the kernel
-        matrix."""
+        matrix.  The centring keeps it exactly symmetric, so sym_eig uses
+        it without a copy."""
         real_eig = detectors_module.sym_eig
-        shapes = []
-        monkeypatch.setattr(detectors_module, "sym_eig",
-                            lambda matrix: shapes.append(matrix.shape) or real_eig(matrix))
+        received = []
+        monkeypatch.setattr(detectors_module, "sym_eig", lambda matrix: received.append(
+            (matrix.shape, np.array_equal(matrix, matrix.T))) or real_eig(matrix))
         with contextlib.suppress(ValueError):  # a fractional power need not be PSD
             fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
-        assert shapes == [(200, 200)]
+        assert received == [((200, 200), True)]
+
+    def test_rbf_dual_fit_peak_memory(self):
+        """An RBF dual fit holds at most three n x n float64 arrays at once
+        as tracemalloc sees them: the median heuristic and sym_eig each
+        reach three, the kernel matrix included.  A symmetrised copy of
+        the kernel matrix kept beside sym_eig makes four."""
+        n = 600
+        data = correlated_data(51, n=n)
+        fit_kpca_detector(data, "rbf")  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            fit_kpca_detector(data, "rbf")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) < 3.5
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -2.0, float("nan"), float("inf")])
+    def test_bad_explicit_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(ValueError, match=f"bandwidth must be finite and positive, "
+                                             f"got {bandwidth}"):
+            fit_kpca_detector(correlated_data(52, n=100), "rbf", bandwidth=bandwidth)
+
+    def test_explicit_bandwidth_stored_and_used(self):
+        data = correlated_data(53, n=100)
+        model = fit_kpca_detector(data, "rbf", bandwidth=2.5)
+        assert model.bandwidth == 2.5
+        wide = fit_kpca_detector(data, "rbf", bandwidth=25.0)
+        assert wide.alphas.shape[1] < model.alphas.shape[1]
 
     @pytest.mark.parametrize("kernel", ["poly", "cosine", "rbf"])
     def test_constant_training_data_rejected_on_both_paths(self, monkeypatch, kernel):

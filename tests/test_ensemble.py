@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import fenkit.ensemble as ensemble_module
+import fenkit.transform as transform_module
 from fenkit.datasets import ProcessDataset
 from fenkit.detectors import (
     DetectorBankConfig,
@@ -11,6 +13,8 @@ from fenkit.detectors import (
     fit_detector_bank,
 )
 from fenkit.ensemble import FeatureMatrix, build_feature_matrix
+from fenkit.numerics import frozen
+from fenkit.transform import build_fused_matrix
 
 
 def make_data(seed, n=300, m=5):
@@ -34,6 +38,38 @@ class TestFeatureMatrix:
         assert fm.n_samples == 4
         assert fm.n_features == 2
         assert fm.sample_offset == 3
+
+    def test_caller_array_is_copied_and_stays_writable(self):
+        values = np.arange(8.0).reshape(4, 2)
+        fm = FeatureMatrix(values)
+        assert not np.shares_memory(fm.values, values)
+        assert values.flags.writeable and not fm.values.flags.writeable
+        values[0, 0] = 99.0
+        assert fm.values[0, 0] == 0.0
+        read_only_float32 = frozen(values.astype(np.float32))
+        converted = FeatureMatrix(read_only_float32).values
+        assert converted.dtype == np.float64 and not converted.flags.writeable
+        assert not np.shares_memory(converted, read_only_float32)
+
+    def test_read_only_float64_array_is_wrapped_as_is(self):
+        values = frozen(np.arange(8.0).reshape(4, 2))
+        assert FeatureMatrix(values).values is values
+        with pytest.raises(ValueError, match="non-finite"):
+            FeatureMatrix(frozen(np.array([[1.0, np.nan]])))
+
+    def test_library_built_matrices_are_not_copied(self, monkeypatch):
+        """The bank's feature matrix and a fused spectra matrix wrap the
+        array the library built, not a copy of it."""
+        for module in (ensemble_module, transform_module):
+            built = []
+            monkeypatch.setattr(module, "frozen",
+                                lambda array, built=built: built.append(array) or frozen(array))
+            if module is ensemble_module:
+                data = make_data(6)
+                fm = build_feature_matrix(fit_detector_bank(data), data)
+            else:
+                fm = build_fused_matrix(FeatureMatrix(make_data(7).values), [(0, 1, 2)], 20)
+            assert len(built) == 1 and np.shares_memory(fm.values, built[0])
 
 
 class TestBuildFeatureMatrix:
