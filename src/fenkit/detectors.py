@@ -19,10 +19,10 @@ from .numerics import (
     covariance,
     empirical_quantile,
     freeze_arrays,
+    leading_eigenvectors,
     principal_subspace,
     require_variation,
     retained_count,
-    sym_eig,
 )
 
 MD_VARIANTS = ("MD1", "MD2", "MD3")
@@ -260,10 +260,13 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, clipped at zero; exactly
-    symmetric when b is a, as numpy evaluates a @ a.T symmetrically."""
-    sq = (np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
-          - 2.0 * (a @ b.T))
+    """Pairwise squared Euclidean distances |a|^2 + |b|^2 - 2 a.b, clipped
+    at zero, with at most two n x n arrays alive; exactly symmetric when b
+    is a, as numpy evaluates a @ a.T symmetrically."""
+    sq = np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :])
+    product = a @ b.T
+    product *= 2.0
+    sq -= product
     return np.clip(sq, 0.0, None, out=sq)
 
 
@@ -277,7 +280,10 @@ def _rbf_from_squared(sq: np.ndarray, bandwidth: float) -> np.ndarray:
 def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray, degree: float = 3.0,
                   offset: float = 1.0, bandwidth: float = 1.0) -> np.ndarray:
     if kind == "poly":
-        return (a @ b.T + offset) ** degree
+        gram = a @ b.T
+        gram += offset
+        gram **= degree
+        return gram
     if kind == "rbf":
         return _rbf_from_squared(_squared_distances(a, b), bandwidth)
     if kind == "cosine":
@@ -287,12 +293,13 @@ def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray, degree: float = 3.0,
 
 def _median_distance(sq: np.ndarray) -> float:
     """Median off-diagonal distance of an exactly symmetric squared-distance
-    matrix: each pair appears twice, which leaves the median unchanged."""
+    matrix: each pair appears twice, which leaves the median unchanged.
+    The square roots of the off-diagonal view are the only copy."""
     n = sq.shape[0]
     if n < 2:
         return 1.0
-    off_diagonal = np.sqrt(sq).ravel()[1:].reshape(n - 1, n + 1)[:, :-1]
-    return float(np.median(off_diagonal))
+    distances = np.sqrt(sq.ravel()[1:].reshape(n - 1, n + 1)[:, :-1])
+    return float(np.median(distances, overwrite_input=True))
 
 
 def median_pairwise_distance(rows: np.ndarray) -> float:
@@ -334,7 +341,7 @@ _CENTER_BLOCK_ROWS = 256
 def _center_symmetric(gram: np.ndarray, row_mean: np.ndarray, grand_mean: float) -> None:
     """gram_ij - (row_mean_i + row_mean_j) + grand_mean, written over gram
     in row blocks; r_i + r_j == r_j + r_i, so an exactly symmetric gram
-    stays exactly symmetric and sym_eig needs no copy of it."""
+    stays exactly symmetric and leading_eigenvectors needs no copy of it."""
     pair_sums = np.empty((_CENTER_BLOCK_ROWS, gram.shape[1]))
     for start in range(0, gram.shape[0], _CENTER_BLOCK_ROWS):
         block = gram[start:start + _CENTER_BLOCK_ROWS]
@@ -346,10 +353,10 @@ def _center_symmetric(gram: np.ndarray, row_mean: np.ndarray, grand_mean: float)
 
 def _retained_components(eigenvalues: np.ndarray, variance_fraction: float) -> int:
     """retained_count of a centred kernel matrix's descending eigenvalues,
-    from either form: the dual's eigh or the primal's squared singular
+    from either form: the dual's eigvalsh or the primal's squared singular
     values."""
     top = float(eigenvalues[0])
-    if not top > 0.0:  # also a NaN spectrum, from a kernel matrix with NaN entries
+    if not top > 0.0:
         raise ValueError("degenerate kernel matrix: no positive eigenvalues")
     if float(eigenvalues[-1]) < -1e-8 * top:
         raise ValueError("centered kernel matrix is not positive semi-definite")
@@ -365,12 +372,16 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     A kernel with an explicit feature map narrower than the training rows
     is fitted in primal form, by a thin SVD of the centred feature matrix
     (Schoelkopf, Smola & Mueller 1998); every other kernel in dual form,
-    on the n x n kernel matrix, which is centred in place and handed to
-    sym_eig as it is.  Both give the same T2.  The kernel matrix is n x n,
-    so training rows beyond max_train_rows are thinned by a deterministic
-    stride.  The rbf bandwidth defaults to the median pairwise distance of
-    the retained rows; an explicit one must be finite and positive.
+    on the n x n kernel matrix, which is centred in place; its eigenvalues
+    set the retained count, and only that many eigenvectors are computed
+    (numerics.leading_eigenvectors).  Both give the same T2.  The kernel
+    matrix is n x n, so training rows beyond max_train_rows (at least 2)
+    are thinned by a deterministic stride.  The rbf bandwidth defaults to
+    the median pairwise distance of the retained rows; an explicit one
+    must be finite and positive.
     """
+    if max_train_rows < 2:
+        raise ValueError(f"max_train_rows must be at least 2, got {max_train_rows}")
     if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"rbf bandwidth must be finite and positive, got {bandwidth}")
     require_variation(train.values)
@@ -400,9 +411,10 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         row_mean = centered.mean(axis=1)
         grand_mean = float(centered.mean())
         _center_symmetric(centered, row_mean, grand_mean)
-        eigenvalues, eigenvectors = sym_eig(centered)
-        t = _retained_components(eigenvalues, variance_fraction)
-        alphas = eigenvectors[:, :t]
+        if not np.all(np.isfinite(centered)):  # eigvalsh would raise LinAlgError
+            raise ValueError("degenerate kernel matrix: non-finite entries")
+        alphas = leading_eigenvectors(
+            centered, lambda eigenvalues: _retained_components(eigenvalues, variance_fraction))
         train_rows = rows
 
     train_scores = centered @ alphas
@@ -417,10 +429,11 @@ def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
     if model.train_rows.shape[0] == 0:
         centered = _feature_map(model.kernel, rows, model.degree, model.offset) - model.row_mean
     else:
-        cross = kernel_matrix(model.kernel, rows, model.train_rows, degree=model.degree,
-                              offset=model.offset, bandwidth=model.bandwidth)
-        centered = (cross - cross.mean(axis=1, keepdims=True)
-                    - model.row_mean[None, :] + model.grand_mean)
+        centered = kernel_matrix(model.kernel, rows, model.train_rows, degree=model.degree,
+                                 offset=model.offset, bandwidth=model.bandwidth)
+        centered -= centered.mean(axis=1, keepdims=True)
+        centered -= model.row_mean
+        centered += model.grand_mean
     scores = centered @ model.alphas
     return np.sum(scores * scores / model.score_variance, axis=1)
 

@@ -1,8 +1,9 @@
 """Deterministic numeric kernels shared by every stage of the detection engine.
 
-Covariance, symmetric eigendecomposition, singular values and empirical
-quantiles, each with a contract narrow enough to validate against a
-brute-force oracle (see tests).  Every variance uses the n-1 denominator,
+Covariance, symmetric eigendecomposition (full, or only the leading
+eigenvectors), singular values and empirical quantiles, each with a
+contract narrow enough to validate against a brute-force oracle (see
+tests).  Every variance uses the n-1 denominator,
 here and where transform._normalized and detectors.fit_kpca_detector
 call ddof=1 on axes of their own.
 """
@@ -67,23 +68,98 @@ def covariance(data: np.ndarray) -> np.ndarray:
     return cov
 
 
+_SYMMETRY_BLOCK_ROWS = 256
+
+
+def _symmetric(matrix: np.ndarray) -> np.ndarray:
+    """The square matrix itself when it is exactly symmetric, else
+    (M + M^T) / 2 as one copy; ValueError when max |M - M^T| exceeds
+    SYMMETRY_TOL.  The asymmetry is taken over row blocks, so the check
+    makes no n x n float temporary."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    asym = np.max([np.max(np.abs(matrix[start:start + _SYMMETRY_BLOCK_ROWS]
+                                 - matrix[:, start:start + _SYMMETRY_BLOCK_ROWS].T))
+                   for start in range(0, matrix.shape[0], _SYMMETRY_BLOCK_ROWS)],
+                  initial=0.0)
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    if asym == 0.0:
+        return matrix
+    symmetric = matrix + matrix.T
+    symmetric /= 2.0
+    return symmetric
+
+
 def sym_eig(matrix: np.ndarray) -> tuple:
     """(eigenvalues, eigenvectors) of a symmetric matrix, as np.linalg.eigh
     returns them but sorted by descending eigenvalue.
 
     Raises ValueError if the input is not symmetric within 1e-9.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"sym_eig expects a square matrix, got shape {matrix.shape}")
-    asym = np.max(np.abs(matrix - matrix.T)) if matrix.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
-    if asym:  # an exactly symmetric input is used as is, without an n x n copy
-        matrix = (matrix + matrix.T) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    eigenvalues, eigenvectors = np.linalg.eigh(_symmetric(matrix))
     order = np.argsort(eigenvalues)[::-1]
     return eigenvalues[order], eigenvectors[:, order]
+
+
+# Columns of the Krylov start block beyond the requested count, and the
+# residual bound |K u - theta u| <= _KRYLOV_TOL * theta_1 of a kept Ritz pair.
+_KRYLOV_EXTRA_COLUMNS = 16
+_KRYLOV_TOL = 1e-12
+
+
+def _orthonormal_complement(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning block with span(basis) projected out
+    twice.  When block lies (nearly) inside span(basis), as the Krylov
+    blocks of a low-rank matrix come to, its QR factor is rounding noise
+    that need not be orthogonal to basis, so that factor is projected out
+    and factored once more."""
+    block = block - basis @ (basis.T @ block)
+    block -= basis @ (basis.T @ block)
+    block = np.linalg.qr(block)[0]
+    block -= basis @ (basis.T @ block)
+    return np.linalg.qr(block)[0]
+
+
+def leading_eigenvectors(matrix: np.ndarray, select) -> np.ndarray:
+    """Eigenvectors of the largest eigenvalues of a symmetric matrix, in
+    descending order, as the columns of an (n, count) array.
+
+    select receives every eigenvalue in descending order (from
+    np.linalg.eigvalsh) and returns the count, between 1 and n.  Only
+    those eigenvectors are computed, by block-Krylov Rayleigh-Ritz (Halko,
+    Martinsson & Tropp 2011): a seeded random start block of count + 16
+    columns is expanded by K times the newest block until the kept Ritz
+    pairs have residuals within 1e-12 of the largest Ritz value, or until
+    the basis spans all n columns, where the Ritz pairs are exact.  The
+    solver holds no n x n array beside the matrix and eigvalsh's copy.
+
+    Raises ValueError if the input is not symmetric within 1e-9.
+    """
+    matrix = _symmetric(matrix)
+    n = matrix.shape[0]
+    count = select(np.linalg.eigvalsh(matrix)[::-1])
+    if not 1 <= count <= n:
+        raise ValueError(f"eigenvector count must lie in [1, {n}], got {count}")
+    block = np.linalg.qr(np.random.default_rng(0).standard_normal(
+        (n, min(count + _KRYLOV_EXTRA_COLUMNS, n))))[0]
+    block_image = matrix @ block
+    basis, image, projected = block, block_image, block.T @ block_image
+    while True:
+        ritz_values, coefficients = np.linalg.eigh((projected + projected.T) / 2.0)
+        ritz_values = ritz_values[::-1][:count]
+        coefficients = coefficients[:, ::-1][:, :count]
+        vectors = basis @ coefficients
+        residuals = np.linalg.norm(image @ coefficients - vectors * ritz_values, axis=0)
+        if basis.shape[1] == n or np.all(residuals <= _KRYLOV_TOL * ritz_values[0]):
+            return vectors
+        block = _orthonormal_complement(block_image, basis)[:, :n - basis.shape[1]]
+        block_image = matrix @ block
+        cross = basis.T @ block_image
+        projected = np.block([[projected, cross], [cross.T, block.T @ block_image]])
+        basis = np.hstack([basis, block])
+        image = np.hstack([image, block_image])
 
 
 def retained_count(eigenvalues: np.ndarray, variance_fraction: float) -> int:

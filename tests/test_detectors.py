@@ -330,8 +330,8 @@ class TestKpca:
     @pytest.mark.parametrize("seed", range(4))
     def test_poly_fit_with_far_outliers(self, seed):
         """Two training rows near +-10 sigma on ten channels give poly
-        kernel entries near 1e8, where one rounding step exceeds sym_eig's
-        absolute symmetry bound; the centring rounds (i, j) and (j, i)
+        kernel entries near 1e8, where one rounding step exceeds the
+        eigensolver's absolute symmetry bound; the centring rounds (i, j) and (j, i)
         alike, so the fit still succeeds."""
         rng = np.random.default_rng(seed)
         values = rng.standard_normal((200, 10))
@@ -369,31 +369,81 @@ class TestKpca:
     def test_dual_dispatch(self, monkeypatch, kernel, kwargs, m):
         """RBF, non-integer degrees, negative offsets and a feature map at
         least as wide as the 200 training rows eigendecompose the kernel
-        matrix.  The centring keeps it exactly symmetric, so sym_eig uses
-        it without a copy."""
-        real_eig = detectors_module.sym_eig
+        matrix.  The centring keeps it exactly symmetric, so
+        leading_eigenvectors uses it without a copy."""
+        real_solver = detectors_module.leading_eigenvectors
         received = []
-        monkeypatch.setattr(detectors_module, "sym_eig", lambda matrix: received.append(
-            (matrix.shape, np.array_equal(matrix, matrix.T))) or real_eig(matrix))
+        monkeypatch.setattr(detectors_module, "leading_eigenvectors",
+                            lambda matrix, select: received.append(
+                                (matrix.shape, np.array_equal(matrix, matrix.T)))
+                            or real_solver(matrix, select))
         with contextlib.suppress(ValueError):  # a fractional power need not be PSD
             fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
         assert received == [((200, 200), True)]
 
-    def test_rbf_dual_fit_peak_memory(self):
-        """An RBF dual fit holds at most three n x n float64 arrays at once
-        as tracemalloc sees them: the median heuristic and sym_eig each
-        reach three, the kernel matrix included.  A symmetrised copy of
-        the kernel matrix kept beside sym_eig makes four."""
-        n = 600
-        data = correlated_data(51, n=n)
-        fit_kpca_detector(data, "rbf")  # imports and caches outside the trace
+    @staticmethod
+    def eigh_leading_eigenvectors(matrix, select):
+        """The full-eigh path the Krylov solver replaces."""
+        eigenvalues, eigenvectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
+        return eigenvectors[:, ::-1][:, :select(eigenvalues[::-1])]
+
+    @pytest.mark.parametrize("kernel, n, kwargs", [
+        ("rbf", 600, {}),
+        ("cosine", 400, {}),  # rank 5, below the Krylov block
+        ("poly", 400, {"degree": 2.0, "offset": 1.0}),
+    ])
+    def test_dual_fit_matches_eigh(self, monkeypatch, kernel, n, kwargs):
+        """The Krylov eigenvectors give the T2 of a fit on every
+        eigenvector from np.linalg.eigh, on training and on new rows."""
+        self.force_dual(monkeypatch)
+        data = correlated_data(55, n=n)
+        samples = 2.0 * np.random.default_rng(56).standard_normal((60, 5))
+        krylov = fit_kpca_detector(data, kernel, **kwargs)
+        monkeypatch.setattr(detectors_module, "leading_eigenvectors",
+                            self.eigh_leading_eigenvectors)
+        reference = fit_kpca_detector(data, kernel, **kwargs)
+        assert krylov.alphas.shape == reference.alphas.shape
+        for values in (data.values, samples):
+            np.testing.assert_allclose(score_kpca(krylov, values),
+                                       score_kpca(reference, values), rtol=1e-10)
+
+    @staticmethod
+    def peak_ratio(call, n):
+        """Peak traced bytes of call() in units of one n x n float64 array."""
+        call()  # imports and caches outside the trace
         tracemalloc.start()
         try:
-            fit_kpca_detector(data, "rbf")
+            call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / (n * n * 8) < 3.5
+        return peak / (n * n * 8)
+
+    def test_rbf_dual_fit_peak_memory(self):
+        """An RBF dual fit holds at most two n x n float64 arrays at once
+        as tracemalloc sees them: the squared distances beside their
+        cross products, then beside their square roots for the median,
+        then the kernel matrix beside the eigensolver's small blocks.  A
+        third n x n temporary in any of these steps breaks the bound."""
+        n = 600
+        data = correlated_data(51, n=n)
+        assert self.peak_ratio(lambda: fit_kpca_detector(data, "rbf"), n) < 2.5
+
+    def test_rbf_dual_score_peak_memory(self):
+        """Scoring n rows against n training rows holds at most two n x n
+        float64 arrays: the squared distances beside their cross products.
+        The kernel rows are centred in place."""
+        n = 600
+        model = fit_kpca_detector(correlated_data(51, n=n), "rbf")
+        samples = 2.0 * np.random.default_rng(54).standard_normal((n, 5))
+        assert self.peak_ratio(lambda: score_kpca(model, samples), n) < 2.5
+
+    @pytest.mark.parametrize("max_train_rows", [0, -5, -400, 1])
+    def test_max_train_rows_below_two_rejected(self, max_train_rows):
+        with pytest.raises(ValueError, match=f"max_train_rows must be at least 2, "
+                                             f"got {max_train_rows}"):
+            fit_kpca_detector(correlated_data(57, n=100), "rbf",
+                              max_train_rows=max_train_rows)
 
     @pytest.mark.parametrize("bandwidth", [0.0, -2.0, float("nan"), float("inf")])
     def test_bad_explicit_bandwidth_rejected(self, bandwidth):

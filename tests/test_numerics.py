@@ -1,6 +1,8 @@
 """Contract tests for the numeric kernels, each checked against a
 brute-force oracle that never shares code with the implementation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from fenkit.numerics import (
     EPS_STD,
     column_std,
     covariance,
+    _symmetric,
     empirical_quantile,
+    leading_eigenvectors,
     principal_subspace,
     singular_values,
     sym_eig,
@@ -134,6 +138,162 @@ class TestSymEig:
         eigenvalues, eigenvectors = sym_eig(np.diag([1.0, 2.0]))
         np.testing.assert_array_equal(eigenvalues, [2.0, 1.0])
         np.testing.assert_array_equal(eigenvectors, [[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestSymmetricCheck:
+    def test_inexact_input_symmetrised_as_before(self):
+        """A matrix within the bound but not exactly symmetric is replaced
+        by (M + M^T) / 2, bit for bit, and sym_eig decomposes that."""
+        rng = np.random.default_rng(23)
+        base = rng.standard_normal((300, 300))
+        matrix = base + base.T
+        matrix[7, 250] += 1e-12
+        expected = (matrix + matrix.T) / 2.0
+        np.testing.assert_array_equal(_symmetric(matrix), expected)
+        eigenvalues, eigenvectors = np.linalg.eigh(expected)
+        got_values, got_vectors = sym_eig(matrix)
+        np.testing.assert_array_equal(got_values, eigenvalues[::-1])
+        np.testing.assert_array_equal(got_vectors, eigenvectors[:, ::-1])
+
+    def test_exact_input_returned_as_is(self):
+        matrix = np.diag([1.0, 2.0, 3.0])
+        assert _symmetric(matrix) is matrix
+
+    @pytest.mark.parametrize("offset, limit", [(0.0, 0.75), (1e-12, 1.5)])
+    def test_no_float_temporary(self, offset, limit):
+        """The check itself makes no n x n float64 temporary, only row
+        blocks of M - M^T (half of n x n here); an inexact input adds its
+        one symmetrised copy.  The unblocked check reached two n x n."""
+        n = 1024
+        base = np.random.default_rng(24).standard_normal((n, n))
+        matrix = base + base.T
+        matrix[3, 900] += offset
+        _symmetric(matrix)
+        tracemalloc.start()
+        try:
+            _symmetric(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (n * n * 8) < limit
+
+    def test_largest_asymmetry_reported(self):
+        """The blocked check finds the largest |M - M^T| anywhere, past the
+        first row block too."""
+        matrix = np.zeros((700, 700))
+        matrix[650, 3] = 2e-9
+        matrix[100, 600] = 5e-9
+        with pytest.raises(ValueError, match="max \\|M - M\\^T\\| = 5.000e-09"):
+            sym_eig(matrix)
+
+
+def centred_rbf(rows: np.ndarray) -> np.ndarray:
+    """H K H for an RBF kernel at the median distance, by broadcasting."""
+    n = rows.shape[0]
+    sq = np.sum((rows[:, None, :] - rows[None, :, :]) ** 2, axis=2)
+    bandwidth = np.median(np.sqrt(sq[np.triu_indices(n, k=1)]))
+    centring = np.eye(n) - 1.0 / n
+    return centring @ np.exp(-sq / (2.0 * bandwidth ** 2)) @ centring
+
+
+def centred_cosine(rows: np.ndarray) -> np.ndarray:
+    unit = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    centring = np.eye(rows.shape[0]) - 1.0 / rows.shape[0]
+    return centring @ (unit @ unit.T) @ centring
+
+
+def clustered_at_cut(n: int, count: int) -> np.ndarray:
+    """Q diag(lambda) Q^T whose eigenvalues count - 2 .. count + 1 agree to
+    1e-10, so the cut falls inside a cluster of four."""
+    rng = np.random.default_rng(25)
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    eigenvalues = np.concatenate([np.linspace(10.0, 2.0, count - 2),
+                                  1.0 + 1e-10 * np.arange(4.0)[::-1],
+                                  0.5 ** np.arange(1.0, n - count - 1)])
+    return (q * eigenvalues) @ q.T
+
+
+class TestLeadingEigenvectors:
+    """Oracle: np.linalg.eigh of the same matrix."""
+
+    @staticmethod
+    def check_ritz_pairs(matrix, vectors, count):
+        """Orthonormal columns with residuals within the solver's bound,
+        whose Rayleigh quotients are the leading eigenvalues."""
+        eigenvalues = np.linalg.eigvalsh(matrix)[::-1]
+        assert vectors.shape == (matrix.shape[0], count)
+        np.testing.assert_allclose(vectors.T @ vectors, np.eye(count), rtol=0, atol=1e-13)
+        image = matrix @ vectors
+        quotients = np.sum(vectors * image, axis=0)
+        residuals = np.linalg.norm(image - vectors * quotients, axis=0)
+        assert np.all(residuals <= 2e-12 * eigenvalues[0])
+        np.testing.assert_allclose(quotients, eigenvalues[:count], rtol=0,
+                                   atol=1e-12 * eigenvalues[0])
+
+    @staticmethod
+    def assert_same_span(vectors, reference):
+        """Equal orthogonal projectors: the same leading subspace."""
+        np.testing.assert_allclose(vectors @ vectors.T, reference @ reference.T,
+                                   rtol=0, atol=1e-10)
+
+    def test_rbf_kernel(self):
+        matrix = centred_rbf(np.random.default_rng(26).standard_normal((600, 5)))
+        vectors = leading_eigenvectors(matrix, lambda eigenvalues: 30)
+        self.check_ritz_pairs(matrix, vectors, 30)
+        self.assert_same_span(vectors, np.linalg.eigh(matrix)[1][:, ::-1][:, :30])
+
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_rank_below_block(self, count):
+        """A rank-5 cosine kernel: every Krylov block after the first is
+        rounding noise inside the basis, and must not spoil
+        orthonormality."""
+        rng = np.random.default_rng(27)
+        matrix = centred_cosine(rng.standard_normal((400, 2)) @ rng.standard_normal((2, 5))
+                                + 0.1 * rng.standard_normal((400, 5)))
+        assert np.linalg.matrix_rank(matrix) == 5
+        vectors = leading_eigenvectors(matrix, lambda eigenvalues: count)
+        self.check_ritz_pairs(matrix, vectors, count)
+        self.assert_same_span(vectors, np.linalg.eigh(matrix)[1][:, ::-1][:, :count])
+
+    def test_cluster_at_cut(self):
+        """Inside a cluster no eigenvector is determined, but the kept
+        vectors still lie in the span of the eigenvectors above and
+        within the cluster."""
+        n, count = 300, 10
+        matrix = clustered_at_cut(n, count)
+        vectors = leading_eigenvectors(matrix, lambda eigenvalues: count)
+        self.check_ritz_pairs(matrix, vectors, count)
+        reference = np.linalg.eigh(matrix)[1][:, ::-1]
+        self.assert_same_span(vectors[:, :count - 2], reference[:, :count - 2])
+        outside = vectors - reference[:, :count + 2] @ (reference[:, :count + 2].T @ vectors)
+        assert np.max(np.abs(outside)) <= 1e-10
+
+    def test_basis_spans_all_columns(self):
+        """n below count + 16: the start block spans every column, and the
+        Ritz pairs are the exact eigenpairs."""
+        rng = np.random.default_rng(28)
+        base = rng.standard_normal((12, 12))
+        matrix = base @ base.T
+        vectors = leading_eigenvectors(matrix, lambda eigenvalues: 3)
+        self.check_ritz_pairs(matrix, vectors, 3)
+        reference = np.linalg.eigh(matrix)[1][:, ::-1][:, :3]
+        np.testing.assert_allclose(np.abs(np.sum(vectors * reference, axis=0)), 1.0,
+                                   rtol=0, atol=1e-12)
+
+    def test_select_sees_descending_spectrum(self):
+        matrix = np.diag([1.0, 4.0, 2.0, 3.0])
+        seen = []
+        leading_eigenvectors(matrix, lambda eigenvalues: seen.append(eigenvalues) or 2)
+        np.testing.assert_allclose(seen[0], [4.0, 3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("count", [0, 5])
+    def test_count_out_of_range_rejected(self, count):
+        with pytest.raises(ValueError, match=f"count must lie in \\[1, 4\\], got {count}"):
+            leading_eigenvectors(np.eye(4), lambda eigenvalues: count)
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            leading_eigenvectors(np.array([[1.0, 2.0], [0.0, 1.0]]), lambda eigenvalues: 1)
 
 
 class TestSingularValues:
