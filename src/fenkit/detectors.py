@@ -20,6 +20,7 @@ from .numerics import (
     empirical_quantile,
     freeze_arrays,
     leading_eigenvectors,
+    positive_definite,
     principal_subspace,
     require_variation,
     retained_count,
@@ -351,16 +352,11 @@ def _center_symmetric(gram: np.ndarray, row_mean: np.ndarray, grand_mean: float)
         block += grand_mean
 
 
-def _retained_components(eigenvalues: np.ndarray, variance_fraction: float) -> int:
-    """retained_count of a centred kernel matrix's descending eigenvalues,
-    from either form: the dual's eigvalsh or the primal's squared singular
-    values."""
-    top = float(eigenvalues[0])
-    if not top > 0.0:
+def _require_positive(eigenvalues: np.ndarray) -> None:
+    """ValueError unless the leading eigenvalue of a centred kernel matrix,
+    from either form, exists and is positive."""
+    if not (eigenvalues.size and eigenvalues[0] > 0.0):
         raise ValueError("degenerate kernel matrix: no positive eigenvalues")
-    if float(eigenvalues[-1]) < -1e-8 * top:
-        raise ValueError("centered kernel matrix is not positive semi-definite")
-    return retained_count(eigenvalues, variance_fraction)
 
 
 def fit_kpca_detector(train: ProcessDataset, kernel: str,
@@ -372,9 +368,11 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     A kernel with an explicit feature map narrower than the training rows
     is fitted in primal form, by a thin SVD of the centred feature matrix
     (Schoelkopf, Smola & Mueller 1998); every other kernel in dual form,
-    on the n x n kernel matrix, which is centred in place; its eigenvalues
-    set the retained count, and only that many eigenvectors are computed
-    (numerics.leading_eigenvectors).  Both give the same T2.  The kernel
+    on the n x n kernel matrix, which is centred in place.  The dual fit
+    takes the retained count and only that many eigenvectors from Ritz
+    values, without the full spectrum (numerics.leading_eigenvectors), and
+    rejects the matrix unless K + 1e-8 lambda_1 I has a Cholesky factor
+    (numerics.positive_definite).  Both forms give the same T2.  The kernel
     matrix is n x n, so training rows beyond max_train_rows (at least 2)
     are thinned by a deterministic stride.  The rbf bandwidth defaults to
     the median pairwise distance of the retained rows; an explicit one
@@ -402,7 +400,9 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         row_mean = centered.mean(axis=0)
         centered -= row_mean
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
-        t = _retained_components(singular * singular, variance_fraction)
+        eigenvalues = singular * singular
+        _require_positive(eigenvalues)
+        t = retained_count(eigenvalues, variance_fraction)
         alphas = vt[:t].T * singular[:t]
         train_rows, grand_mean = rows[:0], 0.0
     else:
@@ -411,10 +411,12 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         row_mean = centered.mean(axis=1)
         grand_mean = float(centered.mean())
         _center_symmetric(centered, row_mean, grand_mean)
-        if not np.all(np.isfinite(centered)):  # eigvalsh would raise LinAlgError
+        if not np.all(np.isfinite(centered)):  # the eigensolver would raise LinAlgError
             raise ValueError("degenerate kernel matrix: non-finite entries")
-        alphas = leading_eigenvectors(
-            centered, lambda eigenvalues: _retained_components(eigenvalues, variance_fraction))
+        eigenvalues, alphas = leading_eigenvectors(centered, variance_fraction)
+        _require_positive(eigenvalues)
+        if not positive_definite(centered, 1e-8 * eigenvalues[0]):
+            raise ValueError("centered kernel matrix is not positive semi-definite")
         train_rows = rows
 
     train_scores = centered @ alphas

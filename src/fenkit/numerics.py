@@ -1,11 +1,12 @@
 """Deterministic numeric kernels shared by every stage of the detection engine.
 
 Covariance, symmetric eigendecomposition (full, or only the leading
-eigenvectors), singular values and empirical quantiles, each with a
-contract narrow enough to validate against a brute-force oracle (see
-tests).  Every variance uses the n-1 denominator,
-here and where transform._normalized and detectors.fit_kpca_detector
-call ddof=1 on axes of their own.
+eigenpairs that a variance fraction keeps, found without the full
+spectrum), a blocked Cholesky test of positive definiteness, singular
+values and empirical quantiles, each with a contract narrow enough to
+validate against a brute-force oracle (see tests).  Every variance uses
+the n-1 denominator, here and where transform._normalized and
+detectors.fit_kpca_detector call ddof=1 on axes of their own.
 """
 
 import numpy as np
@@ -103,80 +104,144 @@ def sym_eig(matrix: np.ndarray) -> tuple:
     return eigenvalues[order], eigenvectors[:, order]
 
 
-# Columns of the Krylov start block beyond the requested count, and the
-# residual bound |K u - theta u| <= _KRYLOV_TOL * theta_1 of a kept Ritz pair.
-_KRYLOV_EXTRA_COLUMNS = 16
+# Columns of the seeded Krylov start block and of each block added to the
+# basis, and the residual bound |K u - theta u| <= _KRYLOV_TOL * theta_1 of a
+# kept Ritz pair.
+_KRYLOV_BLOCK_COLUMNS = 64
 _KRYLOV_TOL = 1e-12
 
 
-def _orthonormal_complement(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning block with span(basis) projected out
-    twice.  When block lies (nearly) inside span(basis), as the Krylov
-    blocks of a low-rank matrix come to, its QR factor is rounding noise
-    that need not be orthogonal to basis, so that factor is projected out
-    and factored once more."""
+def _outside(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """block with span(basis) projected out twice; basis has orthonormal
+    columns."""
     block = block - basis @ (basis.T @ block)
     block -= basis @ (basis.T @ block)
-    block = np.linalg.qr(block)[0]
+    return block
+
+
+def _orthonormal_complement(outside: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning outside, a block already projected off
+    span(basis).  When the block lies (nearly) inside span(basis), as the
+    Krylov blocks of a low-rank matrix come to, its QR factor is rounding
+    noise that need not be orthogonal to basis, so that factor is
+    projected out and factored once more."""
+    block = np.linalg.qr(outside)[0]
     block -= basis @ (basis.T @ block)
     return np.linalg.qr(block)[0]
 
 
-def leading_eigenvectors(matrix: np.ndarray, select) -> np.ndarray:
-    """Eigenvectors of the largest eigenvalues of a symmetric matrix, in
-    descending order, as the columns of an (n, count) array.
+def leading_eigenvectors(matrix: np.ndarray, variance_fraction: float) -> tuple:
+    """(eigenvalues, eigenvectors) of the leading eigenpairs of a symmetric
+    matrix that retained_count keeps, descending, the vectors as the
+    columns of an (n, t) array; t = 0 when no Ritz value is positive.
 
-    select receives every eigenvalue in descending order (from
-    np.linalg.eigvalsh) and returns the count, between 1 and n.  Only
-    those eigenvectors are computed, by block-Krylov Rayleigh-Ritz (Halko,
-    Martinsson & Tropp 2011): a seeded random start block of count + 16
-    columns is expanded by K times the newest block until the kept Ritz
-    pairs have residuals within 1e-12 of the largest Ritz value, or until
-    the basis spans all n columns, where the Ritz pairs are exact.  The
-    solver holds no n x n array beside the matrix and eigvalsh's copy.
+    The full spectrum is never computed.  Block-Krylov Rayleigh-Ritz
+    (Halko, Martinsson & Tropp 2011) grows a basis from a seeded 64-column
+    block by K times the newest block.  At each step retained_count reads
+    t from the descending Ritz values with the trace as the total; Ritz
+    values never exceed the eigenvalues, so t only falls toward the true
+    count as the basis grows.  The solver stops when the fraction is
+    reached and the first t Ritz pairs have residuals within 1e-12 of the
+    largest Ritz value, or when the basis spans all n columns: the pairs
+    are then exact and the total is the sum of the clipped Ritz values, so
+    a fraction of 1.0 keeps exactly the rank.  K times every block but the
+    newest lies in the basis, so a pair's residual is the newest block's
+    image, projected off the basis, times the pair's coefficients on that
+    block, and no image of the basis is kept.  Unless the basis grows to
+    most of the n columns, no n x n array is made beside the matrix.
 
     Raises ValueError if the input is not symmetric within 1e-9.
     """
     matrix = _symmetric(matrix)
     n = matrix.shape[0]
-    count = select(np.linalg.eigvalsh(matrix)[::-1])
-    if not 1 <= count <= n:
-        raise ValueError(f"eigenvector count must lie in [1, {n}], got {count}")
+    trace = float(np.trace(matrix))
     block = np.linalg.qr(np.random.default_rng(0).standard_normal(
-        (n, min(count + _KRYLOV_EXTRA_COLUMNS, n))))[0]
-    block_image = matrix @ block
-    basis, image, projected = block, block_image, block.T @ block_image
+        (n, min(_KRYLOV_BLOCK_COLUMNS, n))))[0]
+    basis, projected = block[:, :0], np.empty((0, 0))
     while True:
-        ritz_values, coefficients = np.linalg.eigh((projected + projected.T) / 2.0)
-        ritz_values = ritz_values[::-1][:count]
-        coefficients = coefficients[:, ::-1][:, :count]
-        vectors = basis @ coefficients
-        residuals = np.linalg.norm(image @ coefficients - vectors * ritz_values, axis=0)
-        if basis.shape[1] == n or np.all(residuals <= _KRYLOV_TOL * ritz_values[0]):
-            return vectors
-        block = _orthonormal_complement(block_image, basis)[:, :n - basis.shape[1]]
+        basis = np.hstack([basis, block])
         block_image = matrix @ block
         cross = basis.T @ block_image
-        projected = np.block([[projected, cross], [cross.T, block.T @ block_image]])
-        basis = np.hstack([basis, block])
-        image = np.hstack([image, block_image])
+        head, corner = cross[:-block.shape[1]], cross[-block.shape[1]:]
+        projected = np.block([[projected, head], [head.T, (corner + corner.T) / 2.0]])
+        outside = _outside(block_image, basis)
+        ritz_values, coefficients = np.linalg.eigh(projected)
+        ritz_values, coefficients = ritz_values[::-1], coefficients[:, ::-1]
+        if not ritz_values[0] > 0.0:
+            return ritz_values[:0], basis[:, :0]
+        spanned = basis.shape[1] == n
+        count = retained_count(ritz_values, variance_fraction,
+                               total=None if spanned else trace)
+        if count is not None:
+            residuals = np.linalg.norm(
+                outside @ coefficients[-block.shape[1]:, :count], axis=0)
+            if spanned or np.all(residuals <= _KRYLOV_TOL * ritz_values[0]):
+                return ritz_values[:count], basis @ coefficients[:, :count]
+        block = _orthonormal_complement(outside, basis)[:, :n - basis.shape[1]]
+        # freed before the next hstack, where the old and new bases coexist
+        del outside, block_image, coefficients
 
 
-def retained_count(eigenvalues: np.ndarray, variance_fraction: float) -> int:
+# Rows of the diagonal blocks of positive_definite's Cholesky factorization;
+# each panel and each trailing-update product is at most this many columns
+# or rows by n.  At n = 600, 128-row blocks put a kernel PCA fit's peak
+# within 0.07 n x n arrays of its bound of 2.5; at n = 2000, 64 to 96 rows
+# time the same.
+_CHOLESKY_BLOCK_ROWS = 64
+
+
+def positive_definite(matrix: np.ndarray, shift: float) -> bool:
+    """Whether matrix + shift * I, symmetric, has a Cholesky factor.
+
+    A right-looking blocked factorization over one n x n copy of the lower
+    triangle: np.linalg.cholesky factors each diagonal block, the panel
+    below it is solved with that small factor's inverse, and the trailing
+    lower triangle is updated in row blocks, so no second n x n array is
+    made.  Cholesky decides definiteness in a quarter of the flops of
+    eigvalsh's tridiagonal reduction (Higham 2002, ch. 10).
+    """
+    work = np.array(matrix, dtype=np.float64)
+    n = work.shape[0]
+    work.flat[::n + 1] += shift
+    for start in range(0, n, _CHOLESKY_BLOCK_ROWS):
+        end = min(start + _CHOLESKY_BLOCK_ROWS, n)
+        try:
+            factor = np.linalg.cholesky(work[start:end, start:end])
+        except np.linalg.LinAlgError:
+            return False
+        panel = work[end:, start:end] @ np.linalg.inv(factor).T
+        for row in range(end, n, _CHOLESKY_BLOCK_ROWS):
+            stop = min(row + _CHOLESKY_BLOCK_ROWS, n)
+            work[row:stop, end:stop] -= panel[row - end:stop - end] @ panel[:stop - end].T
+    return True
+
+
+def retained_count(eigenvalues: np.ndarray, variance_fraction: float,
+                   total: float | None = None) -> int | None:
     """Smallest leading count of descending eigenvalues whose cumulative
     share of the total reaches variance_fraction, capped at the numerical
-    rank, so a fraction of 1.0 retains exactly the rank.
+    rank (the values above 1e-12 of the largest), so a fraction of 1.0
+    retains exactly the rank.
 
-    Negative eigenvalues count as zero; the largest must be positive,
-    which each caller checks with its own message.
+    The total defaults to the sum of the eigenvalues.  Given a total, such
+    as the trace, eigenvalues may be a leading slice of the spectrum, and
+    the count is None when the slice's share stays below the fraction; a
+    total that is not positive, the trace of an indefinite matrix, has no
+    share to reach and keeps 1.  Negative eigenvalues count as zero; the
+    largest must be positive, which each caller checks with its own
+    message.
     """
     if not (0.0 < variance_fraction <= 1.0):
         raise ValueError("variance_fraction must lie in (0, 1]")
+    if total is not None and not total > 0.0:
+        return 1
     eigenvalues = np.clip(eigenvalues, 0.0, None)
     rank = int(np.count_nonzero(eigenvalues > _EIG_FLOOR * eigenvalues[0]))
-    cumulative = np.cumsum(eigenvalues) / eigenvalues.sum()
+    cumulative = np.cumsum(eigenvalues) / (eigenvalues.sum() if total is None else total)
     reached = np.nonzero(cumulative >= variance_fraction)[0]
-    return rank if reached.size == 0 else min(int(reached[0]) + 1, rank)
+    if reached.size == 0:
+        return rank if total is None else None
+    return min(int(reached[0]) + 1, rank)
 
 
 def require_variation(data: np.ndarray) -> None:

@@ -10,6 +10,7 @@ import pytest
 
 import fenkit.detectors as detectors_module
 from fenkit.datasets import ProcessDataset, ScalerStats, SyntheticConfig, generate_synthetic
+from fenkit.numerics import retained_count
 from fenkit.detectors import (
     DetectorBankConfig,
     KpcaDetector,
@@ -374,18 +375,19 @@ class TestKpca:
         real_solver = detectors_module.leading_eigenvectors
         received = []
         monkeypatch.setattr(detectors_module, "leading_eigenvectors",
-                            lambda matrix, select: received.append(
+                            lambda matrix, variance_fraction: received.append(
                                 (matrix.shape, np.array_equal(matrix, matrix.T)))
-                            or real_solver(matrix, select))
+                            or real_solver(matrix, variance_fraction))
         with contextlib.suppress(ValueError):  # a fractional power need not be PSD
             fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
         assert received == [((200, 200), True)]
 
     @staticmethod
-    def eigh_leading_eigenvectors(matrix, select):
+    def eigh_leading_eigenvectors(matrix, variance_fraction):
         """The full-eigh path the Krylov solver replaces."""
         eigenvalues, eigenvectors = np.linalg.eigh((matrix + matrix.T) / 2.0)
-        return eigenvectors[:, ::-1][:, :select(eigenvalues[::-1])]
+        t = retained_count(eigenvalues[::-1], variance_fraction)
+        return eigenvalues[::-1][:t], eigenvectors[:, ::-1][:, :t]
 
     @pytest.mark.parametrize("kernel, n, kwargs", [
         ("rbf", 600, {}),
@@ -407,6 +409,38 @@ class TestKpca:
             np.testing.assert_allclose(score_kpca(krylov, values),
                                        score_kpca(reference, values), rtol=1e-10)
 
+    @pytest.mark.parametrize("kernel, n, kwargs", [
+        ("rbf", 600, {}),
+        ("rbf", 600, {"bandwidth": 2.5}),
+        ("rbf", 600, {"bandwidth": 25.0}),
+        ("cosine", 400, {}),  # rank 5, forced dual
+        ("poly", 400, {"degree": 2.0, "offset": 1.0}),
+    ])
+    def test_dual_count_matches_eigvalsh(self, monkeypatch, kernel, n, kwargs):
+        """The retained count from the Ritz values and the trace equals
+        retained_count of the centred kernel matrix's eigvalsh spectrum."""
+        self.force_dual(monkeypatch)
+        real_solver = detectors_module.leading_eigenvectors
+        expected = []
+        monkeypatch.setattr(detectors_module, "leading_eigenvectors",
+                            lambda matrix, variance_fraction: expected.append(retained_count(
+                                np.linalg.eigvalsh(matrix)[::-1], variance_fraction))
+                            or real_solver(matrix, variance_fraction))
+        model = fit_kpca_detector(correlated_data(58, n=n), kernel, **kwargs)
+        assert model.alphas.shape[1] == expected[0]
+
+    def test_dual_fit_rejects_indefinite_kernel(self):
+        """(x.y - 1)^2 centres to a matrix whose lambda_min is -0.37
+        lambda_1, and (x.y - 100)^2 to one whose trace is negative;
+        (x.y - 1) centres to the linear kernel, rank 2 here."""
+        data = correlated_data(47, n=200)
+        for offset in (-1.0, -100.0):
+            with pytest.raises(ValueError, match="centered kernel matrix is not positive "
+                                                 "semi-definite"):
+                fit_kpca_detector(data, "poly", degree=2.0, offset=offset)
+        model = fit_kpca_detector(data, "poly", degree=1.0, offset=-1.0)
+        assert model.train_rows.shape[0] == 200 and model.alphas.shape[1] == 2
+
     @staticmethod
     def peak_ratio(call, n):
         """Peak traced bytes of call() in units of one n x n float64 array."""
@@ -423,8 +457,9 @@ class TestKpca:
         """An RBF dual fit holds at most two n x n float64 arrays at once
         as tracemalloc sees them: the squared distances beside their
         cross products, then beside their square roots for the median,
-        then the kernel matrix beside the eigensolver's small blocks.  A
-        third n x n temporary in any of these steps breaks the bound."""
+        then the kernel matrix beside the eigensolver's blocks, then beside
+        the PSD check's one copy and its 64-row panels.  A third n x n
+        temporary in any of these steps breaks the bound."""
         n = 600
         data = correlated_data(51, n=n)
         assert self.peak_ratio(lambda: fit_kpca_detector(data, "rbf"), n) < 2.5

@@ -15,7 +15,9 @@ from fenkit.numerics import (
     _symmetric,
     empirical_quantile,
     leading_eigenvectors,
+    positive_definite,
     principal_subspace,
+    retained_count,
     singular_values,
     sym_eig,
 )
@@ -213,13 +215,37 @@ def clustered_at_cut(n: int, count: int) -> np.ndarray:
     return (q * eigenvalues) @ q.T
 
 
+def fraction_for(matrix: np.ndarray, count: int) -> float:
+    """A variance fraction midway between the eigvalsh shares of the
+    leading count - 1 and count eigenvalues, so the rule keeps count."""
+    eigenvalues = np.clip(np.linalg.eigvalsh(matrix)[::-1], 0.0, None)
+    shares = np.concatenate([[0.0], np.cumsum(eigenvalues) / eigenvalues.sum()])
+    return float(shares[count - 1] + shares[count]) / 2.0
+
+
+def rank_five_cosine() -> np.ndarray:
+    rng = np.random.default_rng(27)
+    return centred_cosine(rng.standard_normal((400, 2)) @ rng.standard_normal((2, 5))
+                          + 0.1 * rng.standard_normal((400, 5)))
+
+
+def flat_tail(n: int) -> np.ndarray:
+    """Ten well-separated eigenvalues 10 .. 1 above n - 10 at 0.01: the
+    leading pairs converge at once, while the tail holds 5% of the trace
+    that no partial basis captures."""
+    q = np.linalg.qr(np.random.default_rng(38).standard_normal((n, n)))[0]
+    return (q * np.concatenate([np.linspace(10.0, 1.0, 10), np.full(n - 10, 0.01)])) @ q.T
+
+
 class TestLeadingEigenvectors:
     """Oracle: np.linalg.eigh of the same matrix."""
 
     @staticmethod
-    def check_ritz_pairs(matrix, vectors, count):
+    def check_ritz_pairs(matrix, result, count):
         """Orthonormal columns with residuals within the solver's bound,
-        whose Rayleigh quotients are the leading eigenvalues."""
+        whose Rayleigh quotients and returned values are the leading
+        eigenvalues."""
+        values, vectors = result
         eigenvalues = np.linalg.eigvalsh(matrix)[::-1]
         assert vectors.shape == (matrix.shape[0], count)
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(count), rtol=0, atol=1e-13)
@@ -227,8 +253,9 @@ class TestLeadingEigenvectors:
         quotients = np.sum(vectors * image, axis=0)
         residuals = np.linalg.norm(image - vectors * quotients, axis=0)
         assert np.all(residuals <= 2e-12 * eigenvalues[0])
-        np.testing.assert_allclose(quotients, eigenvalues[:count], rtol=0,
-                                   atol=1e-12 * eigenvalues[0])
+        for estimate in (quotients, values):
+            np.testing.assert_allclose(estimate, eigenvalues[:count], rtol=0,
+                                       atol=1e-12 * eigenvalues[0])
 
     @staticmethod
     def assert_same_span(vectors, reference):
@@ -238,22 +265,20 @@ class TestLeadingEigenvectors:
 
     def test_rbf_kernel(self):
         matrix = centred_rbf(np.random.default_rng(26).standard_normal((600, 5)))
-        vectors = leading_eigenvectors(matrix, lambda eigenvalues: 30)
-        self.check_ritz_pairs(matrix, vectors, 30)
-        self.assert_same_span(vectors, np.linalg.eigh(matrix)[1][:, ::-1][:, :30])
+        result = leading_eigenvectors(matrix, fraction_for(matrix, 30))
+        self.check_ritz_pairs(matrix, result, 30)
+        self.assert_same_span(result[1], np.linalg.eigh(matrix)[1][:, ::-1][:, :30])
 
     @pytest.mark.parametrize("count", [3, 5])
     def test_rank_below_block(self, count):
         """A rank-5 cosine kernel: every Krylov block after the first is
         rounding noise inside the basis, and must not spoil
         orthonormality."""
-        rng = np.random.default_rng(27)
-        matrix = centred_cosine(rng.standard_normal((400, 2)) @ rng.standard_normal((2, 5))
-                                + 0.1 * rng.standard_normal((400, 5)))
+        matrix = rank_five_cosine()
         assert np.linalg.matrix_rank(matrix) == 5
-        vectors = leading_eigenvectors(matrix, lambda eigenvalues: count)
-        self.check_ritz_pairs(matrix, vectors, count)
-        self.assert_same_span(vectors, np.linalg.eigh(matrix)[1][:, ::-1][:, :count])
+        result = leading_eigenvectors(matrix, fraction_for(matrix, count))
+        self.check_ritz_pairs(matrix, result, count)
+        self.assert_same_span(result[1], np.linalg.eigh(matrix)[1][:, ::-1][:, :count])
 
     def test_cluster_at_cut(self):
         """Inside a cluster no eigenvector is determined, but the kept
@@ -261,39 +286,95 @@ class TestLeadingEigenvectors:
         within the cluster."""
         n, count = 300, 10
         matrix = clustered_at_cut(n, count)
-        vectors = leading_eigenvectors(matrix, lambda eigenvalues: count)
-        self.check_ritz_pairs(matrix, vectors, count)
+        result = leading_eigenvectors(matrix, fraction_for(matrix, count))
+        self.check_ritz_pairs(matrix, result, count)
+        vectors = result[1]
         reference = np.linalg.eigh(matrix)[1][:, ::-1]
         self.assert_same_span(vectors[:, :count - 2], reference[:, :count - 2])
         outside = vectors - reference[:, :count + 2] @ (reference[:, :count + 2].T @ vectors)
         assert np.max(np.abs(outside)) <= 1e-10
 
     def test_basis_spans_all_columns(self):
-        """n below count + 16: the start block spans every column, and the
-        Ritz pairs are the exact eigenpairs."""
+        """n below the 64-column start block: the start block spans every
+        column, and the Ritz pairs are the exact eigenpairs."""
         rng = np.random.default_rng(28)
         base = rng.standard_normal((12, 12))
         matrix = base @ base.T
-        vectors = leading_eigenvectors(matrix, lambda eigenvalues: 3)
-        self.check_ritz_pairs(matrix, vectors, 3)
+        result = leading_eigenvectors(matrix, fraction_for(matrix, 3))
+        self.check_ritz_pairs(matrix, result, 3)
         reference = np.linalg.eigh(matrix)[1][:, ::-1][:, :3]
-        np.testing.assert_allclose(np.abs(np.sum(vectors * reference, axis=0)), 1.0,
+        np.testing.assert_allclose(np.abs(np.sum(result[1] * reference, axis=0)), 1.0,
                                    rtol=0, atol=1e-12)
 
-    def test_select_sees_descending_spectrum(self):
-        matrix = np.diag([1.0, 4.0, 2.0, 3.0])
-        seen = []
-        leading_eigenvectors(matrix, lambda eigenvalues: seen.append(eigenvalues) or 2)
-        np.testing.assert_allclose(seen[0], [4.0, 3.0, 2.0, 1.0])
+    @pytest.mark.parametrize("kind, fraction", [
+        ("cluster", 0.5), ("cluster", 0.9),
+        ("cosine", 0.95), ("cosine", 1.0),
+        ("flat_tail", 0.9),
+        ("rbf", 0.95),
+        # The Ritz values of a partial basis never reach this trace, so the
+        # basis grows to all 300 columns, where the count is the rank.
+        ("rbf", 1.0),
+    ])
+    def test_count_matches_eigvalsh_rule(self, kind, fraction):
+        """The count from the converged Ritz values and the trace equals
+        retained_count of the full eigvalsh spectrum it replaces."""
+        matrix = {"cluster": lambda: clustered_at_cut(300, 10),
+                  "cosine": rank_five_cosine,
+                  "flat_tail": lambda: flat_tail(300),
+                  "rbf": lambda: centred_rbf(
+                      np.random.default_rng(29).standard_normal((300, 4)))}[kind]()
+        expected = retained_count(np.linalg.eigvalsh(matrix)[::-1], fraction)
+        result = leading_eigenvectors(matrix, fraction)
+        self.check_ritz_pairs(matrix, result, expected)
 
-    @pytest.mark.parametrize("count", [0, 5])
-    def test_count_out_of_range_rejected(self, count):
-        with pytest.raises(ValueError, match=f"count must lie in \\[1, 4\\], got {count}"):
-            leading_eigenvectors(np.eye(4), lambda eigenvalues: count)
+    def test_non_positive_trace_keeps_leading_pair(self):
+        """An indefinite matrix whose trace is negative has no share of it
+        to reach: the leading pair alone is kept, from the start block,
+        instead of growing the basis to all n columns."""
+        rng = np.random.default_rng(37)
+        q = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+        matrix = (q * np.concatenate([[3.0, 2.0], -np.ones(198)])) @ q.T
+        matrix = (matrix + matrix.T) / 2.0
+        self.check_ritz_pairs(matrix, leading_eigenvectors(matrix, 0.95), 1)
+
+    @pytest.mark.parametrize("matrix", [np.zeros((70, 70)), -np.eye(70)])
+    def test_no_positive_ritz_value_keeps_nothing(self, matrix):
+        values, vectors = leading_eigenvectors(matrix, 0.95)
+        assert values.shape == (0,) and vectors.shape == (70, 0)
+
+    @pytest.mark.parametrize("fraction", [0, 5])
+    def test_fraction_out_of_range_rejected(self, fraction):
+        with pytest.raises(ValueError, match="variance_fraction must lie in"):
+            leading_eigenvectors(np.eye(4), fraction)
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            leading_eigenvectors(np.array([[1.0, 2.0], [0.0, 1.0]]), lambda eigenvalues: 1)
+            leading_eigenvectors(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.95)
+
+
+class TestPositiveDefinite:
+    """Oracle: the eigvalsh verdict lambda_min >= -1e-8 lambda_1 that the
+    kernel PCA fit's PSD check used."""
+
+    @pytest.mark.parametrize("n", [5, 300])
+    @pytest.mark.parametrize("ratio", [-2.0, -0.5])
+    def test_verdict_matches_eigvalsh(self, n, ratio):
+        """lambda_min at -2 and -0.5 times 1e-8 lambda_1, spread over every
+        row by a random rotation; 300 rows span several blocks."""
+        rng = np.random.default_rng(36)
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        eigenvalues = np.concatenate([np.linspace(4.0, 1e-3, n - 1), [ratio * 1e-8 * 4.0]])
+        matrix = (q * eigenvalues) @ q.T
+        matrix = (matrix + matrix.T) / 2.0
+        spectrum = np.linalg.eigvalsh(matrix)
+        expected = bool(spectrum[0] >= -1e-8 * spectrum[-1])
+        assert expected == (ratio > -1.0)
+        assert positive_definite(matrix, 1e-8 * spectrum[-1]) == expected
+
+    def test_input_untouched(self):
+        matrix = np.diag([3.0, 2.0, 1.0])
+        assert positive_definite(matrix, 1.0)
+        np.testing.assert_array_equal(matrix, np.diag([3.0, 2.0, 1.0]))
 
 
 class TestSingularValues:
