@@ -327,18 +327,26 @@ def _check_batch(ae: Autoencoder, batch) -> np.ndarray:
     return batch
 
 
+def encode(ae: Autoencoder, x: np.ndarray) -> np.ndarray:
+    """Codes of a sample matrix, one row per sample, from the encoder
+    alone; sampling-free, the variational code is the posterior mean.
+    Raises ValueError on a non-finite code."""
+    batch = _check_batch(ae, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, _, _ = _encode(ae, parameters(ae), batch, {})
+    if not np.all(np.isfinite(code)):
+        raise ValueError("non-finite values in encoder pass")
+    return code
+
+
 def forward(ae: Autoencoder, x: np.ndarray) -> tuple:
     """Inference pass over a sample matrix: (codes, reconstructions), one
-    row per sample, sampling-free.  The variational code is the
-    posterior mean."""
-    batch = _check_batch(ae, x)
-    params = parameters(ae)
-    workspace = {}
+    row per sample, with encode's codes."""
+    code = encode(ae, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        code, _, _ = _encode(ae, params, batch, workspace)
-        recon, _ = _run_stack(ae.decoder_layers, params[2 * len(ae.encoder_layers):], code,
-                              workspace, "decoder")
-    if not (np.all(np.isfinite(code)) and np.all(np.isfinite(recon))):
+        recon, _ = _run_stack(ae.decoder_layers, parameters(ae)[2 * len(ae.encoder_layers):],
+                              code, {}, "decoder")
+    if not np.all(np.isfinite(recon)):
         raise ValueError("non-finite values in forward pass")
     return code, recon
 

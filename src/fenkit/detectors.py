@@ -260,15 +260,27 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     return rows / np.maximum(np.linalg.norm(rows, axis=1, keepdims=True), EPS_STD)
 
 
+# Rows per block of the n x n kernel steps: squared distances, centring
+# and scoring.
+_CENTER_BLOCK_ROWS = 256
+
+
 def _squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances |a|^2 + |b|^2 - 2 a.b, clipped
-    at zero, with at most two n x n arrays alive; exactly symmetric when b
-    is a, as numpy evaluates a @ a.T symmetrically."""
-    sq = np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :])
-    product = a @ b.T
-    product *= 2.0
-    sq -= product
-    return np.clip(sq, 0.0, None, out=sq)
+    """Pairwise squared Euclidean distances (|a|^2 + |b|^2) - 2 a.b,
+    clipped at zero, written over the one product a @ b.T in row blocks
+    beside one block of |a_i|^2 + |b_j|^2; exactly symmetric when b is a,
+    as numpy evaluates a @ a.T symmetrically."""
+    a_sq, b_sq = np.sum(a * a, axis=1), np.sum(b * b, axis=1)
+    sq = a @ b.T
+    norms = np.empty((min(_CENTER_BLOCK_ROWS, sq.shape[0]), sq.shape[1]))
+    for start in range(0, sq.shape[0], _CENTER_BLOCK_ROWS):
+        block = sq[start:start + _CENTER_BLOCK_ROWS]
+        rows = block.shape[0]
+        block *= 2.0
+        np.subtract(np.add(a_sq[start:start + rows, None], b_sq[None, :], out=norms[:rows]),
+                    block, out=block)
+        np.clip(block, 0.0, None, out=block)
+    return sq
 
 
 def _rbf_from_squared(sq: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -293,14 +305,15 @@ def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray, degree: float = 3.0,
 
 
 def _median_distance(sq: np.ndarray) -> float:
-    """Median off-diagonal distance of an exactly symmetric squared-distance
-    matrix: each pair appears twice, which leaves the median unchanged.
-    The square roots of the off-diagonal view are the only copy."""
+    """Median distance over the strict upper triangle of an exactly
+    symmetric squared-distance matrix, copied once as n (n - 1) / 2 square
+    roots.  The whole off-diagonal holds each of those pairs twice, so it
+    has the same two middle order statistics and the same median."""
     n = sq.shape[0]
     if n < 2:
         return 1.0
-    distances = np.sqrt(sq.ravel()[1:].reshape(n - 1, n + 1)[:, :-1])
-    return float(np.median(distances, overwrite_input=True))
+    distances = np.concatenate([sq[i, i + 1:] for i in range(n - 1)])
+    return float(np.median(np.sqrt(distances, out=distances), overwrite_input=True))
 
 
 def median_pairwise_distance(rows: np.ndarray) -> float:
@@ -336,9 +349,6 @@ def _feature_map(kernel: str, rows: np.ndarray, degree: float, offset: float) ->
     return np.column_stack(columns)
 
 
-_CENTER_BLOCK_ROWS = 256
-
-
 def _center_symmetric(gram: np.ndarray, row_mean: np.ndarray, grand_mean: float) -> None:
     """gram_ij - (row_mean_i + row_mean_j) + grand_mean, written over gram
     in row blocks; r_i + r_j == r_j + r_i, so an exactly symmetric gram
@@ -372,11 +382,14 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     takes the retained count and only that many eigenvectors from Ritz
     values, without the full spectrum (numerics.leading_eigenvectors), and
     rejects the matrix unless K + 1e-8 lambda_1 I has a Cholesky factor
-    (numerics.positive_definite).  Both forms give the same T2.  The kernel
-    matrix is n x n, so training rows beyond max_train_rows (at least 2)
-    are thinned by a deterministic stride.  The rbf bandwidth defaults to
-    the median pairwise distance of the retained rows; an explicit one
-    must be finite and positive.
+    (numerics.positive_definite) after the training scores are taken.
+    Both forms give the same T2.  The dual fit holds one n x n array, the
+    squared distances that become the kernel matrix, plus at most about
+    half of a second (the median's upper triangle, the PSD check's lower
+    one), so training rows beyond max_train_rows (at least 2) are thinned
+    by a deterministic stride.  The rbf bandwidth defaults to the median
+    pairwise distance of the retained rows; an explicit one must be finite
+    and positive.
     """
     if max_train_rows < 2:
         raise ValueError(f"max_train_rows must be at least 2, got {max_train_rows}")
@@ -404,6 +417,7 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         _require_positive(eigenvalues)
         t = retained_count(eigenvalues, variance_fraction)
         alphas = vt[:t].T * singular[:t]
+        train_scores = centered @ alphas
         train_rows, grand_mean = rows[:0], 0.0
     else:
         centered = (kernel_matrix(kernel, rows, rows, **params) if sq is None
@@ -415,27 +429,44 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
             raise ValueError("degenerate kernel matrix: non-finite entries")
         eigenvalues, alphas = leading_eigenvectors(centered, variance_fraction)
         _require_positive(eigenvalues)
+        train_scores = centered @ alphas
         if not positive_definite(centered, 1e-8 * eigenvalues[0]):
             raise ValueError("centered kernel matrix is not positive semi-definite")
         train_rows = rows
 
-    train_scores = centered @ alphas
     score_variance = np.maximum(train_scores.var(axis=0, ddof=1), EPS_STD ** 2)
     return KpcaDetector(kernel, scaler, train_rows, alphas, row_mean, grand_mean,
                         score_variance, **params)
 
 
 def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
-    """T2 per sample row in the retained kernel eigenspace."""
+    """T2 per sample row in the retained kernel eigenspace.
+
+    The dual form scores the rows in near-equal blocks of at most
+    _CENTER_BLOCK_ROWS, as a row's kernel row, centring and T2 depend on
+    that row alone, so n samples make no n x n array.  No block has one
+    row unless the input has: numpy hands a one-row product to gemv, whose
+    rounding differs from gemm's.  The T2 equals the whole-matrix path's
+    to the byte wherever BLAS computes a row block's product as those rows
+    of the whole one, as OpenBLAS does on the benchmark's fits (2000
+    training rows, 52 to 55 components); elsewhere its size-dependent
+    kernel choice may move the last bits."""
     rows = standardized(_sample_matrix(values, model), model.scaler)
     if model.train_rows.shape[0] == 0:
-        centered = _feature_map(model.kernel, rows, model.degree, model.offset) - model.row_mean
-    else:
-        centered = kernel_matrix(model.kernel, rows, model.train_rows, degree=model.degree,
+        return _t2(model, _feature_map(model.kernel, rows, model.degree, model.offset)
+                   - model.row_mean)
+    t2 = []
+    for block in np.array_split(rows, max(1, -(-rows.shape[0] // _CENTER_BLOCK_ROWS))):
+        centered = kernel_matrix(model.kernel, block, model.train_rows, degree=model.degree,
                                  offset=model.offset, bandwidth=model.bandwidth)
         centered -= centered.mean(axis=1, keepdims=True)
         centered -= model.row_mean
         centered += model.grand_mean
+        t2.append(_t2(model, centered))
+    return np.concatenate(t2)
+
+
+def _t2(model: KpcaDetector, centered: np.ndarray) -> np.ndarray:
     scores = centered @ model.alphas
     return np.sum(scores * scores / model.score_variance, axis=1)
 

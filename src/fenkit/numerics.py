@@ -112,9 +112,9 @@ _KRYLOV_TOL = 1e-12
 
 
 def _outside(block: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """block with span(basis) projected out twice; basis has orthonormal
-    columns."""
-    block = block - basis @ (basis.T @ block)
+    """block with span(basis) projected out twice, written over block;
+    basis has orthonormal columns."""
+    block -= basis @ (basis.T @ block)
     block -= basis @ (basis.T @ block)
     return block
 
@@ -147,8 +147,10 @@ def leading_eigenvectors(matrix: np.ndarray, variance_fraction: float) -> tuple:
     a fraction of 1.0 keeps exactly the rank.  K times every block but the
     newest lies in the basis, so a pair's residual is the newest block's
     image, projected off the basis, times the pair's coefficients on that
-    block, and no image of the basis is kept.  Unless the basis grows to
-    most of the n columns, no n x n array is made beside the matrix.
+    block, and no image of the basis is kept.  The basis grows inside one
+    column-major store whose capacity doubles, up to n columns, so it is
+    copied only when the store grows; unless it grows to most of the n
+    columns, no n x n array is made beside the matrix.
 
     Raises ValueError if the input is not symmetric within 1e-9.
     """
@@ -157,62 +159,80 @@ def leading_eigenvectors(matrix: np.ndarray, variance_fraction: float) -> tuple:
     trace = float(np.trace(matrix))
     block = np.linalg.qr(np.random.default_rng(0).standard_normal(
         (n, min(_KRYLOV_BLOCK_COLUMNS, n))))[0]
-    basis, projected = block[:, :0], np.empty((0, 0))
+    store, projected = np.empty((n, block.shape[1]), order="F"), np.empty((0, 0))
+    columns = 0
     while True:
-        basis = np.hstack([basis, block])
-        block_image = matrix @ block
-        cross = basis.T @ block_image
+        if columns + block.shape[1] > store.shape[1]:
+            grown = np.empty((n, min(n, 2 * store.shape[1])), order="F")
+            grown[:, :columns] = store[:, :columns]
+            store = grown
+        store[:, columns:columns + block.shape[1]] = block
+        columns += block.shape[1]
+        basis = store[:, :columns]
+        outside = matrix @ block
+        cross = basis.T @ outside
         head, corner = cross[:-block.shape[1]], cross[-block.shape[1]:]
         projected = np.block([[projected, head], [head.T, (corner + corner.T) / 2.0]])
-        outside = _outside(block_image, basis)
+        _outside(outside, basis)
         ritz_values, coefficients = np.linalg.eigh(projected)
         ritz_values, coefficients = ritz_values[::-1], coefficients[:, ::-1]
         if not ritz_values[0] > 0.0:
-            return ritz_values[:0], basis[:, :0]
+            return ritz_values[:0], np.empty((n, 0))
         spanned = basis.shape[1] == n
         count = retained_count(ritz_values, variance_fraction,
                                total=None if spanned else trace)
-        if count is not None:
-            residuals = np.linalg.norm(
+        # a spanning basis leaves no residual, so none is computed
+        if count is not None and (spanned or np.all(np.linalg.norm(
                 outside @ coefficients[-block.shape[1]:, :count], axis=0)
-            if spanned or np.all(residuals <= _KRYLOV_TOL * ritz_values[0]):
-                return ritz_values[:count], basis @ coefficients[:, :count]
-        block = _orthonormal_complement(outside, basis)[:, :n - basis.shape[1]]
-        # freed before the next hstack, where the old and new bases coexist
-        del outside, block_image, coefficients
+                <= _KRYLOV_TOL * ritz_values[0])):
+            return ritz_values[:count], basis @ coefficients[:, :count]
+        # freed before the next block's QR steps, and before the basis may
+        # grow into a new store beside the old
+        del coefficients
+        block = _orthonormal_complement(outside, basis)[:, :n - columns]
+        del outside, basis
 
 
-# Rows of the diagonal blocks of positive_definite's Cholesky factorization;
-# each panel and each trailing-update product is at most this many columns
-# or rows by n.  At n = 600, 128-row blocks put a kernel PCA fit's peak
-# within 0.07 n x n arrays of its bound of 2.5; at n = 2000, 64 to 96 rows
-# time the same.
+# Rows of each block of positive_definite's lower-triangle copy, which are
+# also its diagonal blocks; each panel and each trailing-update product is
+# at most this many columns or rows by n.  At n = 2000, 64 to 96 rows time
+# the same.
 _CHOLESKY_BLOCK_ROWS = 64
 
 
 def positive_definite(matrix: np.ndarray, shift: float) -> bool:
     """Whether matrix + shift * I, symmetric, has a Cholesky factor.
 
-    A right-looking blocked factorization over one n x n copy of the lower
-    triangle: np.linalg.cholesky factors each diagonal block, the panel
-    below it is solved with that small factor's inverse, and the trailing
-    lower triangle is updated in row blocks, so no second n x n array is
-    made.  Cholesky decides definiteness in a quarter of the flops of
-    eigvalsh's tridiagonal reduction (Higham 2002, ch. 10).
+    A right-looking blocked factorization over a copy of the lower
+    triangle only, held as blocks of _CHOLESKY_BLOCK_ROWS rows that each
+    run up to their diagonal, about half an n x n array: np.linalg.cholesky
+    factors each diagonal block, the panel below it is solved with that
+    small factor's inverse, and the trailing lower triangle is updated
+    block by block.  The input is not written.  Cholesky decides
+    definiteness in a quarter of the flops of eigvalsh's tridiagonal
+    reduction (Higham 2002, ch. 10).
     """
-    work = np.array(matrix, dtype=np.float64)
-    n = work.shape[0]
-    work.flat[::n + 1] += shift
-    for start in range(0, n, _CHOLESKY_BLOCK_ROWS):
-        end = min(start + _CHOLESKY_BLOCK_ROWS, n)
+    matrix = np.asarray(matrix, dtype=np.float64)
+    n = matrix.shape[0]
+    starts = range(0, n, _CHOLESKY_BLOCK_ROWS)
+    blocks = [matrix[start:start + _CHOLESKY_BLOCK_ROWS, :start + _CHOLESKY_BLOCK_ROWS].copy()
+              for start in starts]
+    for start, block in zip(starts, blocks):
+        diagonal = np.arange(block.shape[0])
+        block[diagonal, start + diagonal] += shift
+    for index, start in enumerate(starts):
+        end = start + blocks[index].shape[0]
         try:
-            factor = np.linalg.cholesky(work[start:end, start:end])
+            factor = np.linalg.cholesky(blocks[index][:, start:end])
         except np.linalg.LinAlgError:
             return False
-        panel = work[end:, start:end] @ np.linalg.inv(factor).T
-        for row in range(end, n, _CHOLESKY_BLOCK_ROWS):
-            stop = min(row + _CHOLESKY_BLOCK_ROWS, n)
-            work[row:stop, end:stop] -= panel[row - end:stop - end] @ panel[:stop - end].T
+        below = blocks[index + 1:]
+        if not below:
+            break
+        panel = np.concatenate([block[:, start:end] for block in below]) @ np.linalg.inv(factor).T
+        for block, row in zip(below, starts[index + 1:]):
+            stop = row + block.shape[0]
+            block[:, end:] -= panel[row - end:stop - end] @ panel[:stop - end].T
     return True
 
 

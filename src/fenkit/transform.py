@@ -24,7 +24,7 @@ from .autoencoder import (
     TrainConfig,
     TrainingDivergedError,
     Variant,
-    forward,
+    encode,
     init_autoencoder,
     loss,
     train,
@@ -357,7 +357,7 @@ def _fit_layer(features: FeatureMatrix, config: LayerConfig,
             ae = init_autoencoder(scaled.shape[1], config.code_dim, config.ae_variant,
                                   derive_seed(config.seed, 1), hidden_dims=config.hidden_dims)
             trained, _ = train(ae, scaled, config.training)
-            codes, _ = forward(trained, scaled)
+            codes = encode(trained, scaled)
             layer = TransformLayer(config.window_width, m_l, tuple(subsets), reduction,
                                    score_scale, trained)
             train_codes = FeatureMatrix(frozen(codes), sample_offset=fused.sample_offset)
@@ -394,8 +394,7 @@ def _scaled(layer: TransformLayer, fused: FeatureMatrix) -> tuple:
 
 
 def _encode(layer: TransformLayer, scaled: np.ndarray, sample_offset: int) -> FeatureMatrix:
-    codes, _ = forward(layer.autoencoder, scaled)
-    return FeatureMatrix(frozen(codes), sample_offset=sample_offset)
+    return FeatureMatrix(frozen(encode(layer.autoencoder, scaled)), sample_offset=sample_offset)
 
 
 def layer_loss(layer: TransformLayer, features: FeatureMatrix, l1_weight: float) -> tuple:

@@ -18,6 +18,7 @@ from fenkit.autoencoder import (
     _evaluate,
     _sigmoid,
     adam_step,
+    encode,
     forward,
     gradients,
     init_adam,
@@ -193,6 +194,25 @@ class TestForward:
         ae = Autoencoder((big,), (big,), PLAIN)
         with pytest.raises(ValueError, match="non-finite"):
             forward(ae, np.array([[1e200]]))
+
+
+class TestEncode:
+    @pytest.mark.parametrize("variant", [PLAIN, SPARSE, VAE])
+    def test_codes_equal_forward_codes(self, variant):
+        """The encoder alone gives forward's codes to the byte."""
+        ae = small_net(variant, seed=7)
+        x = np.random.default_rng(8).standard_normal((5, 6))
+        assert encode(ae, x).tobytes() == forward(ae, x)[0].tobytes()
+
+    def test_non_finite_code_named(self):
+        big = Layer(np.full((1, 1), 1e200), np.zeros(1), "linear")
+        ae = Autoencoder((big,), (Layer(np.ones((1, 1)), np.zeros(1), "linear"),), PLAIN)
+        with pytest.raises(ValueError, match="non-finite values in encoder pass"):
+            encode(ae, np.array([[1e200]]))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="columns"):
+            encode(small_net(PLAIN), np.zeros((1, 5)))
 
 
 class TestLoss:

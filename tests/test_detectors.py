@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 import fenkit.detectors as detectors_module
-from fenkit.datasets import ProcessDataset, ScalerStats, SyntheticConfig, generate_synthetic
+from fenkit.datasets import (
+    ProcessDataset,
+    ScalerStats,
+    SyntheticConfig,
+    generate_synthetic,
+    standardized,
+)
 from fenkit.numerics import retained_count
 from fenkit.detectors import (
     DetectorBankConfig,
@@ -453,25 +459,141 @@ class TestKpca:
             tracemalloc.stop()
         return peak / (n * n * 8)
 
-    def test_rbf_dual_fit_peak_memory(self):
-        """An RBF dual fit holds at most two n x n float64 arrays at once
-        as tracemalloc sees them: the squared distances beside their
-        cross products, then beside their square roots for the median,
-        then the kernel matrix beside the eigensolver's blocks, then beside
-        the PSD check's one copy and its 64-row panels.  A third n x n
-        temporary in any of these steps breaks the bound."""
-        n = 600
+    def fit_peak(self, n):
         data = correlated_data(51, n=n)
-        assert self.peak_ratio(lambda: fit_kpca_detector(data, "rbf"), n) < 2.5
+        return self.peak_ratio(lambda: fit_kpca_detector(data, "rbf"), n)
 
-    def test_rbf_dual_score_peak_memory(self):
-        """Scoring n rows against n training rows holds at most two n x n
-        float64 arrays: the squared distances beside their cross products.
-        The kernel rows are centred in place."""
-        n = 600
+    def score_peak(self, n):
         model = fit_kpca_detector(correlated_data(51, n=n), "rbf")
         samples = 2.0 * np.random.default_rng(54).standard_normal((n, 5))
-        assert self.peak_ratio(lambda: score_kpca(model, samples), n) < 2.5
+        return self.peak_ratio(lambda: score_kpca(model, samples), n)
+
+    def test_rbf_dual_fit_peak_memory(self):
+        """An RBF dual fit holds one n x n float64 array, as tracemalloc
+        sees it, plus at most about half of a second: the squared
+        distances written over their product beside 256-row blocks, then
+        beside the median's n (n - 1) / 2 upper-triangle distances, then
+        the kernel matrix beside the eigensolver's basis, its copies only
+        when its store grows, then beside the PSD check's lower-triangle
+        blocks and 64-row panels.  At n = 600 the blocks and the basis
+        are a large share of n x n."""
+        assert self.fit_peak(600) < 2.5
+
+    def test_rbf_dual_fit_peak_memory_n1200(self):
+        """As above at n = 1200, where a whole second n x n temporary in
+        any step breaks the bound."""
+        assert self.fit_peak(1200) < 1.8
+
+    def test_rbf_dual_full_fraction_fit_peak_memory(self):
+        """At variance fraction 1.0 the Krylov basis grows to all n columns
+        (545 of 600 components kept).  The last step holds the kernel
+        matrix, the n-column basis store, the n x n projected matrix,
+        eigh's n x n coefficients and the n x t eigenvectors; the basis is
+        copied only when its store doubles, and the spanning step computes
+        no residuals."""
+        n = 600
+        data = correlated_data(51, n=n)
+        assert self.peak_ratio(
+            lambda: fit_kpca_detector(data, "rbf", variance_fraction=1.0), n) < 5.5
+
+    def test_rbf_dual_score_peak_memory(self):
+        """Scoring n rows against n training rows holds no n x n array:
+        the sample rows are scored in near-equal blocks of at most 256,
+        each block's squared distances written over its product and
+        centred in place."""
+        assert self.score_peak(600) < 1.5
+
+    def test_rbf_dual_score_peak_memory_n1200(self):
+        assert self.score_peak(1200) < 0.75
+
+    @staticmethod
+    def whole_matrix_score(model, values):
+        """score_kpca of the dual form before it scored in row blocks."""
+        centered = kernel_matrix(model.kernel, standardized(values, model.scaler),
+                                 model.train_rows, degree=model.degree,
+                                 offset=model.offset, bandwidth=model.bandwidth)
+        centered -= centered.mean(axis=1, keepdims=True)
+        centered -= model.row_mean
+        centered += model.grand_mean
+        scores = centered @ model.alphas
+        return np.sum(scores * scores / model.score_variance, axis=1)
+
+    @pytest.fixture(scope="class")
+    def step_record_model(self):
+        """The RBF fit of the benchmark's seed-7 step record: 2000 training
+        rows of 10 variables, 55 components."""
+        train, test = generate_synthetic(SyntheticConfig(
+            n_variables=10, n_train=2000, n_test=2000, fault_type="step",
+            fault_amplitude=0.5, fault_channels=(2, 7), fault_onset=0, seed=7)).split(2000)
+        return fit_kpca_detector(train, "rbf"), test.values
+
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600, 2000])
+    def test_blocked_score_matches_whole_matrix_bytes(self, step_record_model, rows):
+        """On the benchmark's kernel PCA shapes, blocks of at most 256
+        sample rows give the whole-matrix T2 to the byte."""
+        model, test = step_record_model
+        assert model.alphas.shape == (2000, 55)
+        assert (score_kpca(model, test[:rows]).tobytes()
+                == self.whole_matrix_score(model, test[:rows]).tobytes())
+
+    @pytest.mark.parametrize("kernel, kwargs", [
+        ("rbf", {}), ("poly", {"degree": 2.0, "offset": 1.0}), ("cosine", {})])
+    @pytest.mark.parametrize("rows", [1, 255, 256, 257, 600])
+    def test_blocked_score_matches_whole_matrix(self, monkeypatch, kernel, kwargs, rows):
+        """Blocked and whole-matrix T2 agree to rounding on any shape.  To
+        the byte only where BLAS computes a row block's product as those
+        rows of the whole one: OpenBLAS picks its small-matrix kernels by
+        the product's size, and those round 400 x (2 to 11) products
+        differently from its general ones."""
+        self.force_dual(monkeypatch)
+        model = fit_kpca_detector(correlated_data(59, n=400), kernel, **kwargs)
+        samples = 2.0 * np.random.default_rng(60).standard_normal((rows, 5))
+        np.testing.assert_allclose(score_kpca(model, samples),
+                                   self.whole_matrix_score(model, samples), rtol=1e-12)
+
+    def test_dual_score_of_no_rows_is_empty(self):
+        model = fit_kpca_detector(correlated_data(59, n=100), "rbf")
+        assert score_kpca(model, np.empty((0, 5))).shape == (0,)
+
+    @staticmethod
+    def two_array_squared_distances(a, b):
+        """_squared_distances before it wrote over its product."""
+        sq = np.add(np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :])
+        product = a @ b.T
+        product *= 2.0
+        sq -= product
+        return np.clip(sq, 0.0, None, out=sq)
+
+    @pytest.mark.parametrize("rows, other", [(1, None), (255, None), (257, None),
+                                             (600, None), (257, 300), (600, 7), (3, 513)])
+    def test_squared_distances_match_two_array_path(self, rows, other):
+        """Row counts off the 256-row blocks, for a is b (exactly
+        symmetric) and for two different row sets."""
+        rng = np.random.default_rng(61)
+        a = rng.standard_normal((rows, 5))
+        b = a if other is None else rng.standard_normal((other, 5))
+        sq = detectors_module._squared_distances(a, b)
+        assert sq.tobytes() == self.two_array_squared_distances(a, b).tobytes()
+        if other is None:
+            np.testing.assert_array_equal(sq, sq.T)
+
+    @staticmethod
+    def off_diagonal_median(sq):
+        """_median_distance before it read only the upper triangle."""
+        n = sq.shape[0]
+        distances = np.sqrt(sq.ravel()[1:].reshape(n - 1, n + 1)[:, :-1])
+        return float(np.median(distances, overwrite_input=True))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 257])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_median_matches_off_diagonal(self, n, duplicates):
+        """1, 3, 6, 10 and 32 896 pairs: odd and even counts; duplicate
+        rows put zero distances at the bottom of the order."""
+        rows = np.random.default_rng(62).standard_normal((n, 3))
+        if duplicates:
+            rows[n // 2:] = rows[0]
+        sq = detectors_module._squared_distances(rows, rows)
+        assert detectors_module._median_distance(sq) == self.off_diagonal_median(sq)
 
     @pytest.mark.parametrize("max_train_rows", [0, -5, -400, 1])
     def test_max_train_rows_below_two_rejected(self, max_train_rows):

@@ -356,11 +356,12 @@ class TestPositiveDefinite:
     """Oracle: the eigvalsh verdict lambda_min >= -1e-8 lambda_1 that the
     kernel PCA fit's PSD check used."""
 
-    @pytest.mark.parametrize("n", [5, 300])
+    @pytest.mark.parametrize("n", [5, 65, 129, 300])
     @pytest.mark.parametrize("ratio", [-2.0, -0.5])
     def test_verdict_matches_eigvalsh(self, n, ratio):
         """lambda_min at -2 and -0.5 times 1e-8 lambda_1, spread over every
-        row by a random rotation; 300 rows span several blocks."""
+        row by a random rotation; 65, 129 and 300 rows span several
+        64-row blocks, the last one partial."""
         rng = np.random.default_rng(36)
         q = np.linalg.qr(rng.standard_normal((n, n)))[0]
         eigenvalues = np.concatenate([np.linspace(4.0, 1e-3, n - 1), [ratio * 1e-8 * 4.0]])

@@ -14,7 +14,7 @@ import pytest
 
 from helpers import gram_singular_values, per_subset_spectra
 
-from fenkit import transform
+from fenkit import autoencoder, transform
 from fenkit.autoencoder import TrainConfig, Variant
 from fenkit.ensemble import FeatureMatrix
 from fenkit.transform import (
@@ -343,6 +343,21 @@ class TestFitLayer:
         _, _, summarized = layer_loss(layer, fm, config.training.l1_weight)
         np.testing.assert_array_equal(summarized.values, nxt.values)
         assert summarized.sample_offset == nxt.sample_offset
+
+    def test_layer_outputs_run_no_decoder(self, monkeypatch):
+        """fit_layer's and apply_layer's codes come from the encoder alone;
+        the training epochs are the only decoder passes."""
+        stacks = []
+        real_run_stack = autoencoder._run_stack
+        monkeypatch.setattr(autoencoder, "_run_stack", lambda layers, params, batch,
+                            workspace, name: stacks.append(name)
+                            or real_run_stack(layers, params, batch, workspace, name))
+        fm = self.layer_input(seed=28)
+        config = small_config(training=TrainConfig(epochs=3, seed=5))
+        layer, _ = fit_layer(fm, config)
+        assert stacks.count("decoder") == 3
+        apply_layer(layer, fm)
+        assert stacks.count("decoder") == 3
 
     def test_fit_is_deterministic(self):
         fm = self.layer_input(seed=20)
