@@ -167,8 +167,8 @@ def load_csv(path, has_header: bool = False) -> ProcessDataset:
 def write_csv(dataset: ProcessDataset, path) -> None:
     """Write the value matrix as comma-separated text, full float precision."""
     with open(path, "w", encoding="utf-8") as handle:
-        for row in dataset.values:
-            handle.write(",".join(repr(float(v)) for v in row))
+        for row in dataset.values.tolist():  # Python floats: repr is repr(float(v))
+            handle.write(",".join(map(repr, row)))
             handle.write("\n")
 
 

@@ -46,9 +46,15 @@ def derive_seed(*components) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-# Windows per batched decomposition: a (512, 150, 5) float64 block is 3 MB,
-# small enough to stay in cache from normalisation through the SVD.
-_BLOCK_WINDOWS = 512
+# Windows per batched decomposition, chosen for memory per thread.  Each
+# spectra thread holds two block-sized float64 work arrays, 0.8 MB each
+# for a (128, 150, 5) block, plus the block's masks; at 512 windows such
+# 3 MB temporaries set the resident peak of a two-layer fit and detect.
+# Do not go below 128: on the two-thread pool 64-window blocks took 1.6 to
+# 1.9 times as long as 128 or 512, which tie (21 five-column subsets of a
+# 4000-row record, w = 150), most likely from more interpreter lock
+# hand-offs per window.
+_BLOCK_WINDOWS = 128
 
 
 @dataclass(frozen=True)
@@ -172,16 +178,16 @@ def window_singular_values(features: FeatureMatrix, q: int, subset, window_width
     return _normalized_singular_values(window[None, :, :])[0]
 
 
-def _normalized_singular_values(windows: np.ndarray) -> np.ndarray:
+def _normalized_singular_values(windows: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Pooled-scalar normalization then SVD over a (batch, w, h) stack."""
-    return singular_values(_normalized(windows))
+    return singular_values(_normalized(windows, work))
 
 
 # A finite window whose pooled variance overflows is mended below; a
 # window with a non-finite entry stays non-finite for singular_values
 # to reject.
 @np.errstate(over="ignore", invalid="ignore")
-def _normalized(windows: np.ndarray) -> np.ndarray:
+def _normalized(windows: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Each window minus its pooled mean, over its pooled std.
 
     The mean and the n - 1 std are numpy's mean and std to the byte, with
@@ -189,10 +195,19 @@ def _normalized(windows: np.ndarray) -> np.ndarray:
     equal normalises to exactly zero, as its pooled mean need not round to
     that entry.  A finite window whose std overflows is divided by its
     largest magnitude first, which leaves its normalised form unchanged.
+    work is a pair of arrays laid out like windows, with at least as many
+    windows, for the result and the squared deviations; a caller that
+    normalises block after block passes one pair to every block.  The
+    layout matters: the pooled sums run in memory order, and a column
+    subset taken by fancy indexing is column-major.
     """
     count = windows.shape[1] * windows.shape[2]
-    centred = windows - windows.sum(axis=(1, 2), keepdims=True) / count
-    std = np.sqrt((centred * centred).sum(axis=(1, 2), keepdims=True) / (count - 1))
+    if work is None:
+        work = np.empty_like(windows), np.empty_like(windows)
+    centred, square = (buffer[:len(windows)] for buffer in work)
+    np.subtract(windows, windows.sum(axis=(1, 2), keepdims=True) / count, out=centred)
+    std = np.sqrt(np.multiply(centred, centred, out=square).sum(axis=(1, 2), keepdims=True)
+                  / (count - 1))
     centred /= np.maximum(std, EPS_STD)
     centred[np.all(windows == windows[:, :1, :1], axis=(1, 2))] = 0.0
     if not np.all(np.isfinite(std)):
@@ -222,10 +237,14 @@ def _block_bounds(count: int) -> list:
 
 def _subset_spectra(values: np.ndarray, subset, window_width: int, out: np.ndarray) -> None:
     """Write the spectra of every window over the subset columns into out,
-    one row per window, block by block."""
+    one row per window, block by block, normalising every block in one
+    pair of work arrays."""
     windows = _sliding_windows(values[:, list(subset)], window_width)
-    for start, stop in _block_bounds(len(windows)):
-        out[start:stop] = _normalized_singular_values(windows[start:stop])
+    bounds = _block_bounds(len(windows))
+    largest = windows[:max(stop - start for start, stop in bounds)]
+    work = np.empty_like(largest), np.empty_like(largest)
+    for start, stop in bounds:
+        out[start:stop] = _normalized_singular_values(windows[start:stop], work)
 
 
 def _cpu_count() -> int:
@@ -251,7 +270,7 @@ def _helpers():
 def _queue_spectra(pool, features: FeatureMatrix, subsets, window_width: int):
     """Queue one _subset_spectra job per subset on pool.  Returns a call
     that runs on the calling thread each queued job no helper has started,
-    waits for the rest and returns build_fused_matrix's FeatureMatrix.  The
+    waits for the rest and returns _spectra's (values, sample_offset).  The
     first failing job in queue order raises from that call."""
     n = features.n_samples
     if n < window_width:
@@ -265,7 +284,7 @@ def _queue_spectra(pool, features: FeatureMatrix, subsets, window_width: int):
         args = (features.values, subset, window_width, fused[:, start:stop])
         jobs.append((pool.submit(_subset_spectra, *args), args))
 
-    def finish() -> FeatureMatrix:
+    def finish() -> tuple:
         failed = None
         for index, (future, args) in enumerate(jobs):
             if future.cancel():
@@ -279,9 +298,15 @@ def _queue_spectra(pool, features: FeatureMatrix, subsets, window_width: int):
                 future.result()
         if failed:
             raise failed[1]
-        return FeatureMatrix(frozen(fused),
-                             sample_offset=features.sample_offset + window_width - 1)
+        return fused, features.sample_offset + window_width - 1
     return finish
+
+
+def _spectra(features: FeatureMatrix, subsets, window_width: int) -> tuple:
+    """build_fused_matrix's values, as a new writable array the caller
+    owns, and its sample_offset."""
+    with _helpers() as pool:
+        return _queue_spectra(pool, features, subsets, window_width)()
 
 
 def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> FeatureMatrix:
@@ -293,8 +318,8 @@ def build_fused_matrix(features: FeatureMatrix, subsets, window_width: int) -> F
     returns; every window is decomposed alone, so the bytes do not depend
     on which thread ran it.
     """
-    with _helpers() as pool:
-        return _queue_spectra(pool, features, subsets, window_width)()
+    values, sample_offset = _spectra(features, subsets, window_width)
+    return FeatureMatrix(frozen(values), sample_offset=sample_offset)
 
 
 def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
@@ -350,9 +375,11 @@ def _fit_layer(features: FeatureMatrix, config: LayerConfig,
                     test_spectra = _queue_spectra(pool, test, subsets, config.window_width)
                 except ValueError as error:
                     test_spectra = error
-            reduction, reduced = fit_pca_reduction(fused.values, config.pca_variance_fraction)
-            score_scale = column_std(reduced)
-            scaled = reduced / score_scale
+            reduction, scaled = fit_pca_reduction(fused.values, config.pca_variance_fraction)
+            sample_offset = fused.sample_offset
+            del fused  # the spectra are not needed while the autoencoder trains
+            score_scale = column_std(scaled)
+            scaled /= score_scale
 
             ae = init_autoencoder(scaled.shape[1], config.code_dim, config.ae_variant,
                                   derive_seed(config.seed, 1), hidden_dims=config.hidden_dims)
@@ -360,7 +387,7 @@ def _fit_layer(features: FeatureMatrix, config: LayerConfig,
             codes = encode(trained, scaled)
             layer = TransformLayer(config.window_width, m_l, tuple(subsets), reduction,
                                    score_scale, trained)
-            train_codes = FeatureMatrix(frozen(codes), sample_offset=fused.sample_offset)
+            train_codes = FeatureMatrix(frozen(codes), sample_offset=sample_offset)
         except (ValueError, TrainingDivergedError) as error:
             error.args = (f"{error_prefix}{error}",)
             raise
@@ -368,7 +395,7 @@ def _fit_layer(features: FeatureMatrix, config: LayerConfig,
             return layer, train_codes, None
         if isinstance(test_spectra, ValueError):
             raise test_spectra
-        return layer, train_codes, _encode(layer, *_scaled(layer, test_spectra()))
+        return layer, train_codes, _encode(layer, *_scaled(layer, *test_spectra()))
 
 
 def _require_input_width(input_features: int, features: FeatureMatrix) -> None:
@@ -383,14 +410,16 @@ def _scaled_inputs(layer: TransformLayer, features: FeatureMatrix) -> tuple:
     """(autoencoder inputs, sample_offset) of U^l through the frozen
     spectra, PCA reduction and score scale."""
     _require_input_width(layer.input_features, features)
-    return _scaled(layer, build_fused_matrix(features, layer.subsets, layer.window_width))
+    return _scaled(layer, *_spectra(features, layer.subsets, layer.window_width))
 
 
-def _scaled(layer: TransformLayer, fused: FeatureMatrix) -> tuple:
-    """(autoencoder inputs, sample_offset) of a record's spectra through
-    the frozen PCA reduction and score scale."""
-    reduced = (fused.values - layer.reduction.mean) @ layer.reduction.projection
-    return reduced / layer.score_scale, fused.sample_offset
+def _scaled(layer: TransformLayer, values: np.ndarray, sample_offset: int) -> tuple:
+    """(autoencoder inputs, sample_offset) of a record's _spectra through
+    the frozen PCA reduction and score scale.  The spectra are centred in
+    place, so no second array of their size is made."""
+    reduced = np.subtract(values, layer.reduction.mean, out=values) @ layer.reduction.projection
+    reduced /= layer.score_scale
+    return reduced, sample_offset
 
 
 def _encode(layer: TransformLayer, scaled: np.ndarray, sample_offset: int) -> FeatureMatrix:

@@ -2,16 +2,16 @@
 
 These deliberately avoid the library's own code paths: singular values
 come from a Gram-matrix eigendecomposition, gradients from central finite
-differences of the public loss function.  The exceptions are
-per_subset_spectra, the single-stack reference of the blocked spectra, and
-numpy_normalized, the reference of the window normalization.
+differences of the public loss function, and the window normalization from
+np.mean and np.std.  per_subset_spectra, the single-stack reference of the
+blocked spectra, decomposes numpy_normalized's windows with np.linalg.svd,
+the decomposition the library runs.
 """
 
 import numpy as np
 
 from fenkit import autoencoder
 from fenkit.numerics import EPS_STD
-from fenkit.transform import _normalized_singular_values
 
 
 def gram_singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -51,11 +51,14 @@ def assert_gradients_close(analytic, oracle, rtol=1e-4, atol=1e-6):
 
 
 def per_subset_spectra(values: np.ndarray, subsets, window_width: int) -> np.ndarray:
-    """build_fused_matrix's values from one _normalized_singular_values
-    call over each subset's whole (windows, w, h) stack, on one thread."""
+    """build_fused_matrix's values from numpy_normalized and one
+    np.linalg.svd call over each subset's whole (windows, w, h) stack, on
+    one thread.  The stacks index the subset columns as the library does,
+    so their layout, and with it the order of numpy's pooled sums, match."""
     stacks = [np.swapaxes(np.lib.stride_tricks.sliding_window_view(
         values[:, list(subset)], window_width, axis=0), 1, 2) for subset in subsets]
-    return np.hstack([_normalized_singular_values(stack) for stack in stacks])
+    return np.hstack([np.linalg.svd(numpy_normalized(stack), compute_uv=False)
+                      for stack in stacks])
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -146,16 +146,18 @@ class TestTrain:
 
     def test_summary_builds_each_layer_once(self, workspace, tmp_path, monkeypatch):
         """The fit builds each layer's window spectra once, and the summary
-        walk once more: 4 builds for two layers."""
+        walk once more: 4 builds for two layers.  Every build runs
+        transform._spectra, whether through build_fused_matrix (the fit) or
+        not (the summary walk's layer_loss)."""
         import fenkit.transform as transform_module
-        real_build = transform_module.build_fused_matrix
+        real_build = transform_module._spectra
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(None)
             return real_build(*args, **kwargs)
 
-        monkeypatch.setattr(transform_module, "build_fused_matrix", counting)
+        monkeypatch.setattr(transform_module, "_spectra", counting)
         assert main(["train", "--train", str(workspace / "data" / "train.csv"),
                      "--config", str(workspace / "pipeline.ini"),
                      "--model", str(tmp_path / "model.fenet")]) == 0

@@ -70,6 +70,20 @@ class TestCsv:
         loaded = load_csv(path)
         np.testing.assert_array_equal(loaded.values, ds.values)
 
+    def test_bytes_match_per_value_repr(self, tmp_path):
+        """The file holds repr(float(v)) of every numpy value, as it did
+        when each value was formatted alone, at signed zero, the smallest
+        subnormal, the largest finite double and an inexact decimal."""
+        values = np.array([[-0.0, 5e-324, 1.7976931348623157e308, 0.1],
+                           [0.0, -5e-324, -1.7976931348623157e308, -0.1]])
+        values = np.vstack([values, np.random.default_rng(1).standard_normal((6, 4)) * 1e3])
+        path = tmp_path / "data.csv"
+        write_csv(_dataset(values), path)
+        expected = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in values)
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_text().startswith("-0.0,5e-324,1.7976931348623157e+308,0.1\n")
+        assert load_csv(path).values.tobytes() == values.tobytes()
+
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1.0,2.0\n")

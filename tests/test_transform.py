@@ -5,6 +5,7 @@ fit/apply cycle with its determinism and alignment guarantees."""
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -320,7 +321,8 @@ class TestFitPcaReduction:
 
 
 class TestFitLayer:
-    def layer_input(self, seed=18, n=120, m=5):
+    @staticmethod
+    def layer_input(seed=18, n=120, m=5):
         rng = np.random.default_rng(seed)
         base = rng.standard_normal((n, 2)) @ rng.standard_normal((2, m))
         return feature_matrix(base + 0.2 * rng.standard_normal((n, m)))
@@ -433,6 +435,79 @@ class TestFitLayer:
             layer, nxt = fit_layer(fm, config)
             assert nxt.values.shape == (101, 4)
             assert np.all(np.isfinite(nxt.values))
+
+
+class TestLayerWorkingMemory:
+    """The layer centres and scales a record's spectra in place; the
+    spectra that build_fused_matrix returns are never written."""
+
+    # 21 five-column subsets of 7 features: 105 spectra columns.
+    CONFIG = small_config(subset_size=5, max_subsets=30, training=TrainConfig(epochs=5, seed=5))
+
+    @staticmethod
+    def layer_input(seed, n):
+        return TestFitLayer.layer_input(seed, n, m=7)
+
+    @pytest.fixture(scope="class")
+    def layer(self):
+        layer, _ = fit_layer(self.layer_input(60, 300), self.CONFIG)
+        assert len(layer.subsets) == 21
+        return layer
+
+    @staticmethod
+    def scaled_before_in_place(layer, fused):
+        """The autoencoder inputs as the layer computed them before it
+        centred and scaled in place."""
+        reduced = (fused.values - layer.reduction.mean) @ layer.reduction.projection
+        return reduced / layer.score_scale
+
+    def test_apply_peak_memory(self, layer, monkeypatch):
+        """On a long record apply_layer holds the spectra, the reduced
+        scores and each spectra thread's blocks, as tracemalloc sees them:
+        1.28 fused matrices with two threads.  A centred copy of the
+        spectra (2.06 in all) breaks the bound.  Every further thread adds
+        about 0.12 of blocks, so the thread count is pinned."""
+        monkeypatch.setattr(transform, "_cpu_count", lambda: 2)
+        record = self.layer_input(61, 5000)
+        fused_bytes = 4981 * 105 * 8
+        apply_layer(layer, record)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            apply_layer(layer, record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / fused_bytes < 1.5
+
+    def test_apply_matches_copying_path(self, layer):
+        record = self.layer_input(62, 700)
+        fused = build_fused_matrix(record, layer.subsets, layer.window_width)
+        expected = autoencoder.encode(layer.autoencoder,
+                                      self.scaled_before_in_place(layer, fused))
+        assert apply_layer(layer, record).values.tobytes() == expected.tobytes()
+
+    def test_fit_leaves_built_spectra_read_only_and_unchanged(self, monkeypatch):
+        """The fit reduces build_fused_matrix's frozen values and drops
+        them; neither the fit nor apply_layer writes them, and the fit's
+        codes equal those of the copying path."""
+        built = []
+        real_build = transform.build_fused_matrix
+
+        def recording(*args):
+            fused = real_build(*args)
+            built.append((fused, fused.values.tobytes()))
+            return fused
+
+        monkeypatch.setattr(transform, "build_fused_matrix", recording)
+        record = self.layer_input(63, 300)
+        layer, codes = fit_layer(record, self.CONFIG)
+        apply_layer(layer, record)
+        (fused, before), = built
+        assert not fused.values.flags.writeable
+        assert fused.values.tobytes() == before
+        expected = autoencoder.encode(layer.autoencoder,
+                                      self.scaled_before_in_place(layer, fused))
+        assert codes.values.tobytes() == expected.tobytes()
 
 
 class TestLayerConfig:
