@@ -20,7 +20,6 @@ from .numerics import (
     empirical_quantile,
     freeze_arrays,
     leading_eigenvectors,
-    positive_definite,
     principal_subspace,
     require_variation,
     retained_count,
@@ -322,11 +321,12 @@ def median_pairwise_distance(rows: np.ndarray) -> float:
 
 def _feature_map_width(kernel: str, m: int, degree: float, offset: float):
     """Columns of the kernel's explicit feature map over m inputs, or None
-    when it has none: cosine, and poly with integer degree >= 1 and
-    offset >= 0 (at offset 0 only the top-degree monomials remain)."""
+    when it has none: rbf, and poly at a negative offset, which
+    fit_kpca_detector admits at degree 1 only.  At offset 0 only the
+    top-degree monomials remain."""
     if kernel == "cosine":
         return m
-    if kernel == "poly" and degree >= 1 and float(degree).is_integer() and offset >= 0:
+    if kernel == "poly" and offset >= 0:
         d = int(degree)
         return math.comb(m + d, d) if offset > 0 else math.comb(m + d - 1, d)
     return None
@@ -375,26 +375,36 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
                       max_train_rows: int = 2000) -> KpcaDetector:
     """Kernel PCA on (capped) standardized training rows.
 
+    Every kernel admitted here is positive semi-definite by construction
+    (Shawe-Taylor & Cristianini 2004, ch. 3): rbf, cosine, and poly with
+    an integer degree >= 1 and a finite offset >= 0, as a sum of products
+    of the linear kernel with non-negative weights.  At degree 1 any
+    finite offset is admitted, since the constant centres away and leaves
+    the linear kernel.  Other poly parameters raise ValueError before any
+    work, as they may give an indefinite or non-finite kernel matrix.
+
     A kernel with an explicit feature map narrower than the training rows
     is fitted in primal form, by a thin SVD of the centred feature matrix
     (Schoelkopf, Smola & Mueller 1998); every other kernel in dual form,
     on the n x n kernel matrix, which is centred in place.  The dual fit
     takes the retained count and only that many eigenvectors from Ritz
-    values, without the full spectrum (numerics.leading_eigenvectors), and
-    rejects the matrix unless K + 1e-8 lambda_1 I has a Cholesky factor
-    (numerics.positive_definite) after the training scores are taken.
+    values, without the full spectrum (numerics.leading_eigenvectors).
     Both forms give the same T2.  The dual fit holds one n x n array, the
     squared distances that become the kernel matrix, plus at most about
-    half of a second (the median's upper triangle, the PSD check's lower
-    one), so training rows beyond max_train_rows (at least 2) are thinned
-    by a deterministic stride.  The rbf bandwidth defaults to the median
-    pairwise distance of the retained rows; an explicit one must be finite
-    and positive.
+    half of a second (the median's upper triangle), so training rows
+    beyond max_train_rows (at least 2) are thinned by a deterministic
+    stride.  The rbf bandwidth defaults to the median pairwise distance of
+    the retained rows; an explicit one must be finite and positive.
     """
     if max_train_rows < 2:
         raise ValueError(f"max_train_rows must be at least 2, got {max_train_rows}")
     if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"rbf bandwidth must be finite and positive, got {bandwidth}")
+    if kernel == "poly" and not (float(degree).is_integer() and degree >= 1
+                                 and math.isfinite(offset) and (offset >= 0 or degree == 1)):
+        raise ValueError(f"poly kernel needs an integer degree >= 1 and a finite offset "
+                         f">= 0 (any finite offset at degree 1), got degree {degree}, "
+                         f"offset {offset}")
     require_variation(train.values)
     scaler = fit_standardize(train.values)
     rows = standardized(train.values, scaler)
@@ -430,8 +440,6 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
         eigenvalues, alphas = leading_eigenvectors(centered, variance_fraction)
         _require_positive(eigenvalues)
         train_scores = centered @ alphas
-        if not positive_definite(centered, 1e-8 * eigenvalues[0]):
-            raise ValueError("centered kernel matrix is not positive semi-definite")
         train_rows = rows
 
     score_variance = np.maximum(train_scores.var(axis=0, ddof=1), EPS_STD ** 2)

@@ -2,11 +2,11 @@
 
 Covariance, symmetric eigendecomposition (full, or only the leading
 eigenpairs that a variance fraction keeps, found without the full
-spectrum), a blocked Cholesky test of positive definiteness, singular
-values and empirical quantiles, each with a contract narrow enough to
-validate against a brute-force oracle (see tests).  Every variance uses
-the n-1 denominator, here and where transform._normalized and
-detectors.fit_kpca_detector call ddof=1 on axes of their own.
+spectrum), singular values and empirical quantiles, each with a
+contract narrow enough to validate against a brute-force oracle (see
+tests).  Every variance uses the n-1 denominator, here and where
+transform._normalized and detectors.fit_kpca_detector call ddof=1 on
+axes of their own.
 """
 
 import numpy as np
@@ -191,49 +191,6 @@ def leading_eigenvectors(matrix: np.ndarray, variance_fraction: float) -> tuple:
         del coefficients
         block = _orthonormal_complement(outside, basis)[:, :n - columns]
         del outside, basis
-
-
-# Rows of each block of positive_definite's lower-triangle copy, which are
-# also its diagonal blocks; each panel and each trailing-update product is
-# at most this many columns or rows by n.  At n = 2000, 64 to 96 rows time
-# the same.
-_CHOLESKY_BLOCK_ROWS = 64
-
-
-def positive_definite(matrix: np.ndarray, shift: float) -> bool:
-    """Whether matrix + shift * I, symmetric, has a Cholesky factor.
-
-    A right-looking blocked factorization over a copy of the lower
-    triangle only, held as blocks of _CHOLESKY_BLOCK_ROWS rows that each
-    run up to their diagonal, about half an n x n array: np.linalg.cholesky
-    factors each diagonal block, the panel below it is solved with that
-    small factor's inverse, and the trailing lower triangle is updated
-    block by block.  The input is not written.  Cholesky decides
-    definiteness in a quarter of the flops of eigvalsh's tridiagonal
-    reduction (Higham 2002, ch. 10).
-    """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    n = matrix.shape[0]
-    starts = range(0, n, _CHOLESKY_BLOCK_ROWS)
-    blocks = [matrix[start:start + _CHOLESKY_BLOCK_ROWS, :start + _CHOLESKY_BLOCK_ROWS].copy()
-              for start in starts]
-    for start, block in zip(starts, blocks):
-        diagonal = np.arange(block.shape[0])
-        block[diagonal, start + diagonal] += shift
-    for index, start in enumerate(starts):
-        end = start + blocks[index].shape[0]
-        try:
-            factor = np.linalg.cholesky(blocks[index][:, start:end])
-        except np.linalg.LinAlgError:
-            return False
-        below = blocks[index + 1:]
-        if not below:
-            break
-        panel = np.concatenate([block[:, start:end] for block in below]) @ np.linalg.inv(factor).T
-        for block, row in zip(below, starts[index + 1:]):
-            stop = row + block.shape[0]
-            block[:, end:] -= panel[row - end:stop - end] @ panel[:stop - end].T
-    return True
 
 
 def retained_count(eigenvalues: np.ndarray, variance_fraction: float,

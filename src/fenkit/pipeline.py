@@ -34,9 +34,9 @@ from .transform import (
     LayerConfig,
     PcaReduction,
     TransformLayer,
-    _fit_layer,
     apply_layer,
     derive_seed,
+    fit_layer,
 )
 
 MAGIC = b"FENETAE1"
@@ -149,7 +149,7 @@ def stages(steps, train: FeatureMatrix | None = None,
     yield layers, train, test
     for index, step in enumerate(steps):
         if train is not None:
-            layer, train, test = _fit_layer(train, step, test, f"layer {index}: ")
+            layer, train, test = fit_layer(train, step, test, f"layer {index}: ")
         else:
             layer = step
             if test is not None:

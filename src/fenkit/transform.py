@@ -334,8 +334,10 @@ def fit_pca_reduction(values: np.ndarray, variance_fraction: float) -> tuple:
     return reduction, (values - reduction.mean) @ reduction.projection
 
 
-def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
-    """Fit one layer on U^l and return (TransformLayer, U^{l+1}).
+def fit_layer(features: FeatureMatrix, config: LayerConfig,
+              test: FeatureMatrix | None = None, error_prefix: str = "") -> tuple:
+    """Fit one layer on U^l and run an optional test record through it:
+    (TransformLayer, U^{l+1}, the test record's U^{l+1} or None).
 
     The principal-component scores are scaled to unit per-column std
     before the autoencoder sees them, so every retained direction
@@ -343,15 +345,6 @@ def fit_layer(features: FeatureMatrix, config: LayerConfig) -> tuple:
     across directions instead of tracking the single largest one.
     Subset sampling and autoencoder initialization derive their seeds
     from config.seed; the training seed lives in config.training.
-    """
-    layer, codes, _ = _fit_layer(features, config)
-    return layer, codes
-
-
-def _fit_layer(features: FeatureMatrix, config: LayerConfig,
-               test: FeatureMatrix | None = None, error_prefix: str = "") -> tuple:
-    """fit_layer that also runs an optional test record through the fitted
-    layer: (TransformLayer, U^{l+1}, the test record's U^{l+1} or None).
 
     The test record's spectra need only the column subsets, so their jobs
     are queued on helper threads once the training spectra are built and

@@ -2,7 +2,6 @@
 quadratic-form oracles, lag handling, kernel baselines, bank assembly and
 control limits."""
 
-import contextlib
 import tracemalloc
 
 import numpy as np
@@ -369,23 +368,21 @@ class TestKpca:
 
     @pytest.mark.parametrize("kernel, kwargs, m", [
         ("rbf", {}, 5),
-        ("poly", {"degree": 2.5, "offset": 100.0}, 5),
         ("poly", {"degree": 1.0, "offset": -1.0}, 5),
         ("poly", {"degree": 3.0, "offset": 1.0}, 10),  # C(13, 3) = 286 columns
     ])
     def test_dual_dispatch(self, monkeypatch, kernel, kwargs, m):
-        """RBF, non-integer degrees, negative offsets and a feature map at
-        least as wide as the 200 training rows eigendecompose the kernel
-        matrix.  The centring keeps it exactly symmetric, so
-        leading_eigenvectors uses it without a copy."""
+        """RBF, a negative offset at degree 1 and a feature map at least as
+        wide as the 200 training rows eigendecompose the kernel matrix.
+        The centring keeps it exactly symmetric, so leading_eigenvectors
+        uses it without a copy."""
         real_solver = detectors_module.leading_eigenvectors
         received = []
         monkeypatch.setattr(detectors_module, "leading_eigenvectors",
                             lambda matrix, variance_fraction: received.append(
                                 (matrix.shape, np.array_equal(matrix, matrix.T)))
                             or real_solver(matrix, variance_fraction))
-        with contextlib.suppress(ValueError):  # a fractional power need not be PSD
-            fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
+        fit_kpca_detector(correlated_data(47, n=200, m=m), kernel, **kwargs)
         assert received == [((200, 200), True)]
 
     @staticmethod
@@ -435,17 +432,38 @@ class TestKpca:
         model = fit_kpca_detector(correlated_data(58, n=n), kernel, **kwargs)
         assert model.alphas.shape[1] == expected[0]
 
-    def test_dual_fit_rejects_indefinite_kernel(self):
+    def test_dual_fit_rejects_indefinite_kernel(self, monkeypatch):
         """(x.y - 1)^2 centres to a matrix whose lambda_min is -0.37
-        lambda_1, and (x.y - 100)^2 to one whose trace is negative;
-        (x.y - 1) centres to the linear kernel, rank 2 here."""
+        lambda_1, and (x.y - 100)^2 to one whose trace is negative: both
+        fail at entry, before the fit standardizes the data.  (x.y - 1)
+        centres to the linear kernel, rank 2 here."""
         data = correlated_data(47, n=200)
+        monkeypatch.setattr(detectors_module, "fit_standardize", self.unreached)
         for offset in (-1.0, -100.0):
-            with pytest.raises(ValueError, match="centered kernel matrix is not positive "
-                                                 "semi-definite"):
+            with pytest.raises(ValueError, match=f"poly kernel needs an integer degree >= 1 "
+                                                 f".*got degree 2.0, offset {offset}"):
                 fit_kpca_detector(data, "poly", degree=2.0, offset=offset)
+        monkeypatch.undo()
         model = fit_kpca_detector(data, "poly", degree=1.0, offset=-1.0)
         assert model.train_rows.shape[0] == 200 and model.alphas.shape[1] == 2
+
+    @staticmethod
+    def unreached(*args, **kwargs):
+        raise AssertionError("the fit went past its entry checks")
+
+    @pytest.mark.parametrize("degree, offset", [
+        (0.0, 1.0), (-1.0, 1.0), (2.5, 1.0), (float("nan"), 1.0),
+        (1.0, float("nan")), (3.0, float("nan")), (3.0, float("inf")),
+    ])
+    def test_bad_poly_parameters_rejected(self, monkeypatch, degree, offset):
+        """A degree that is not an integer >= 1 or an offset that is not
+        finite may make an indefinite or non-finite kernel; the fit fails
+        by name before it standardizes the data."""
+        monkeypatch.setattr(detectors_module, "fit_standardize", self.unreached)
+        with pytest.raises(ValueError, match=f"poly kernel needs an integer degree >= 1 "
+                                             f".*got degree {degree}, offset {offset}"):
+            fit_kpca_detector(correlated_data(52, n=100), "poly", degree=degree,
+                              offset=offset)
 
     @staticmethod
     def peak_ratio(call, n):
@@ -474,9 +492,8 @@ class TestKpca:
         distances written over their product beside 256-row blocks, then
         beside the median's n (n - 1) / 2 upper-triangle distances, then
         the kernel matrix beside the eigensolver's basis, its copies only
-        when its store grows, then beside the PSD check's lower-triangle
-        blocks and 64-row panels.  At n = 600 the blocks and the basis
-        are a large share of n x n."""
+        when its store grows.  At n = 600 the blocks and the basis are a
+        large share of n x n."""
         assert self.fit_peak(600) < 2.5
 
     def test_rbf_dual_fit_peak_memory_n1200(self):
@@ -627,12 +644,18 @@ class TestKpca:
                 with pytest.raises(ValueError, match="all columns are constant"):
                     fit_kpca_detector(as_dataset(np.full((200, 3), constant)), kernel)
 
-    def test_nan_kernel_matrix_rejected(self):
-        """A fractional power of a negative kernel base is NaN; the fit
-        fails instead of keeping no components and scoring every row 0."""
-        with np.errstate(invalid="ignore"), pytest.raises(
-                ValueError, match="degenerate kernel matrix"):
-            fit_kpca_detector(correlated_data(48), "poly", degree=2.5)
+    def test_nan_kernel_matrix_rejected(self, monkeypatch):
+        """A fractional power of a negative kernel base would be NaN, so
+        such a degree fails at entry.  A kernel that overflows float64
+        centres to inf - inf = NaN; the dual fit fails by name instead of
+        keeping no components and scoring every row 0."""
+        data = correlated_data(48)
+        with pytest.raises(ValueError, match="poly kernel needs an integer degree >= 1"):
+            fit_kpca_detector(data, "poly", degree=2.5)
+        self.force_dual(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ValueError, match="degenerate kernel matrix: non-finite entries"):
+            fit_kpca_detector(data, "poly", degree=3.0, offset=1e200)
 
     @pytest.mark.parametrize("n", [1, 40, 42])
     def test_rbf_matches_reference_bitwise(self, n):

@@ -15,7 +15,6 @@ from fenkit.numerics import (
     _symmetric,
     empirical_quantile,
     leading_eigenvectors,
-    positive_definite,
     principal_subspace,
     retained_count,
     singular_values,
@@ -350,32 +349,6 @@ class TestLeadingEigenvectors:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError, match="not symmetric"):
             leading_eigenvectors(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.95)
-
-
-class TestPositiveDefinite:
-    """Oracle: the eigvalsh verdict lambda_min >= -1e-8 lambda_1 that the
-    kernel PCA fit's PSD check used."""
-
-    @pytest.mark.parametrize("n", [5, 65, 129, 300])
-    @pytest.mark.parametrize("ratio", [-2.0, -0.5])
-    def test_verdict_matches_eigvalsh(self, n, ratio):
-        """lambda_min at -2 and -0.5 times 1e-8 lambda_1, spread over every
-        row by a random rotation; 65, 129 and 300 rows span several
-        64-row blocks, the last one partial."""
-        rng = np.random.default_rng(36)
-        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        eigenvalues = np.concatenate([np.linspace(4.0, 1e-3, n - 1), [ratio * 1e-8 * 4.0]])
-        matrix = (q * eigenvalues) @ q.T
-        matrix = (matrix + matrix.T) / 2.0
-        spectrum = np.linalg.eigvalsh(matrix)
-        expected = bool(spectrum[0] >= -1e-8 * spectrum[-1])
-        assert expected == (ratio > -1.0)
-        assert positive_definite(matrix, 1e-8 * spectrum[-1]) == expected
-
-    def test_input_untouched(self):
-        matrix = np.diag([3.0, 2.0, 1.0])
-        assert positive_definite(matrix, 1.0)
-        np.testing.assert_array_equal(matrix, np.diag([3.0, 2.0, 1.0]))
 
 
 class TestSingularValues:

@@ -330,15 +330,25 @@ class TestFitLayer:
     def test_output_shape_and_offset(self):
         fm = self.layer_input()
         config = small_config()
-        layer, nxt = fit_layer(fm, config)
+        layer, nxt, test_codes = fit_layer(fm, config)
         assert nxt.values.shape == (120 - 19, 4)
         assert nxt.sample_offset == 19
         assert layer.input_features == 5
+        assert test_codes is None
+
+    def test_test_record_codes_equal_apply_layer(self):
+        """A test record fitted beside the layer gets apply_layer's codes
+        to the byte."""
+        fm, test = self.layer_input(seed=19), self.layer_input(seed=30, n=90)
+        layer, _, test_codes = fit_layer(fm, small_config(), test)
+        replay = apply_layer(layer, test)
+        np.testing.assert_array_equal(test_codes.values, replay.values)
+        assert test_codes.sample_offset == replay.sample_offset
 
     def test_apply_reproduces_fit_output(self):
         fm = self.layer_input(seed=19)
         config = small_config()
-        layer, nxt = fit_layer(fm, config)
+        layer, nxt, _ = fit_layer(fm, config)
         replay = apply_layer(layer, fm)
         np.testing.assert_array_equal(replay.values, nxt.values)
         assert replay.sample_offset == nxt.sample_offset
@@ -356,15 +366,15 @@ class TestFitLayer:
                             or real_run_stack(layers, params, batch, workspace, name))
         fm = self.layer_input(seed=28)
         config = small_config(training=TrainConfig(epochs=3, seed=5))
-        layer, _ = fit_layer(fm, config)
+        layer, _, _ = fit_layer(fm, config)
         assert stacks.count("decoder") == 3
         apply_layer(layer, fm)
         assert stacks.count("decoder") == 3
 
     def test_fit_is_deterministic(self):
         fm = self.layer_input(seed=20)
-        layer_a, next_a = fit_layer(fm, small_config())
-        layer_b, next_b = fit_layer(fm, small_config())
+        layer_a, next_a, _ = fit_layer(fm, small_config())
+        layer_b, next_b, _ = fit_layer(fm, small_config())
         assert layer_a.subsets == layer_b.subsets
         np.testing.assert_array_equal(layer_a.reduction.projection,
                                       layer_b.reduction.projection)
@@ -379,17 +389,17 @@ class TestFitLayer:
             np.random.default_rng(21).standard_normal((80, 10)))
         config_a = small_config(window_width=20, subset_size=4, max_subsets=5, seed=1)
         config_b = small_config(window_width=20, subset_size=4, max_subsets=5, seed=2)
-        layer_a, _ = fit_layer(fm, config_a)
-        layer_b, _ = fit_layer(fm, config_b)
+        layer_a, _, _ = fit_layer(fm, config_a)
+        layer_b, _, _ = fit_layer(fm, config_b)
         assert layer_a.subsets != layer_b.subsets
 
     def test_two_stacked_layers_row_accounting(self):
         """n_l = n - l*(w - 1) exactly."""
         fm = self.layer_input(seed=22, n=150)
         config = small_config()
-        layer1, u1 = fit_layer(fm, config)
+        layer1, u1, _ = fit_layer(fm, config)
         config2 = small_config(subset_size=3, window_width=20)
-        layer2, u2 = fit_layer(u1, config2)
+        layer2, u2, _ = fit_layer(u1, config2)
         assert u1.n_samples == 150 - 19
         assert u2.n_samples == 150 - 2 * 19
         assert u2.sample_offset == 38
@@ -398,7 +408,7 @@ class TestFitLayer:
         """Dropping the first s rows drops exactly the windows that
         needed them; remaining rows are bit-identical."""
         fm = self.layer_input(seed=23)
-        layer, full = fit_layer(fm, small_config())
+        layer, full, _ = fit_layer(fm, small_config())
         s = 7
         shifted = feature_matrix(fm.values[s:])
         replay = apply_layer(layer, shifted)
@@ -416,7 +426,7 @@ class TestFitLayer:
 
     def test_apply_rejects_wrong_width(self):
         fm = self.layer_input(seed=24)
-        layer, _ = fit_layer(fm, small_config())
+        layer, _, _ = fit_layer(fm, small_config())
         with pytest.raises(ValueError, match="columns"):
             apply_layer(layer, self.layer_input(seed=25, m=6))
 
@@ -424,7 +434,7 @@ class TestFitLayer:
     def test_layer_without_columns_rejected(self, subsets):
         """An empty subset list or subset used to load from a model file
         and then warn on the mean of an empty window in detect."""
-        layer, _ = fit_layer(self.layer_input(seed=27), small_config())
+        layer, _, _ = fit_layer(self.layer_input(seed=27), small_config())
         with pytest.raises(ValueError, match="subset"):
             replace(layer, subsets=subsets)
 
@@ -432,7 +442,7 @@ class TestFitLayer:
         fm = self.layer_input(seed=26)
         for kind in ("sparse", "variational"):
             config = small_config(ae_variant=Variant(kind))
-            layer, nxt = fit_layer(fm, config)
+            layer, nxt, _ = fit_layer(fm, config)
             assert nxt.values.shape == (101, 4)
             assert np.all(np.isfinite(nxt.values))
 
@@ -450,7 +460,7 @@ class TestLayerWorkingMemory:
 
     @pytest.fixture(scope="class")
     def layer(self):
-        layer, _ = fit_layer(self.layer_input(60, 300), self.CONFIG)
+        layer, _, _ = fit_layer(self.layer_input(60, 300), self.CONFIG)
         assert len(layer.subsets) == 21
         return layer
 
@@ -500,7 +510,7 @@ class TestLayerWorkingMemory:
 
         monkeypatch.setattr(transform, "build_fused_matrix", recording)
         record = self.layer_input(63, 300)
-        layer, codes = fit_layer(record, self.CONFIG)
+        layer, codes, _ = fit_layer(record, self.CONFIG)
         apply_layer(layer, record)
         (fused, before), = built
         assert not fused.values.flags.writeable
