@@ -370,7 +370,7 @@ class TestKpca:
         ("rbf", {}, 5),
         ("poly", {"degree": 1.0, "offset": -1.0}, 5),
         ("poly", {"degree": 3.0, "offset": 1.0}, 10),  # C(13, 3) = 286 columns
-    ])
+    ], ids=["rbf-kwargs0-5", "poly-kwargs2-5", "poly-kwargs3-10"])  # stable ids
     def test_dual_dispatch(self, monkeypatch, kernel, kwargs, m):
         """RBF, a negative offset at degree 1 and a feature map at least as
         wide as the 200 training rows eigendecompose the kernel matrix.
