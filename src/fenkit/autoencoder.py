@@ -111,9 +111,6 @@ class TrainConfig:
     epochs: int
     learning_rate: float = 0.001
     l1_weight: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -123,6 +120,8 @@ class TrainConfig:
             raise ValueError("learning_rate must be positive")
         if self.l1_weight < 0:
             raise ValueError("l1_weight must be non-negative")
+        if not (0 <= self.seed < 2**64):
+            raise ValueError("seed must fit in 64 unsigned bits")
 
 
 @dataclass
@@ -453,8 +452,7 @@ def train(ae: Autoencoder, data, config: TrainConfig) -> tuple:
         history.append(total)
         if any(not np.all(np.isfinite(g)) for g in grads):
             raise TrainingDivergedError(history)
-        params, state = adam_step(params, grads, state, config.learning_rate,
-                                  config.beta1, config.beta2, config.eps_adam)
+        params, state = adam_step(params, grads, state, config.learning_rate)
 
     if any(not np.all(np.isfinite(p)) for p in params):
         raise TrainingDivergedError(history)

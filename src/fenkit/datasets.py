@@ -114,7 +114,7 @@ class SyntheticConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-def load_csv(path, has_header: bool = False) -> ProcessDataset:
+def load_csv(path) -> ProcessDataset:
     """Load a comma-separated numeric export, one row per sampling instant.
 
     All labels default to normal; fault labels are attached afterwards from
@@ -127,14 +127,9 @@ def load_csv(path, has_header: bool = False) -> ProcessDataset:
     except FileNotFoundError:
         raise FileNotFoundError(f"data file not found: {path}") from None
 
-    start = 0
-    if has_header:
-        if not lines:
-            raise ValueError(f"{path}: empty file cannot carry a header")
-        start = 1
     rows = []
     width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
+    for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         fields = line.split(",")

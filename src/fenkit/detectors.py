@@ -335,13 +335,17 @@ def _feature_map_width(kernel: str, m: int, degree: float, offset: float):
 def _feature_map(kernel: str, rows: np.ndarray, degree: float, offset: float) -> np.ndarray:
     """phi with phi(x) . phi(y) = k(x, y) for a kernel _feature_map_width
     accepts.  (x.y + c)^d expands into the monomials x^a with |a| = k <= d,
-    each weighted by sqrt(C(d, k) c^(d-k) multinomial(k; a))."""
+    each weighted by sqrt(C(d, k) c^(d-k) multinomial(k; a)); a weight
+    past the float range raises the dual form's non-finite ValueError."""
     if kernel == "cosine":
         return _unit_rows(rows)
     d = int(degree)
     columns = []
     for k in range(0 if offset > 0 else d, d + 1):
-        scale = math.comb(d, k) * offset ** (d - k)
+        try:
+            scale = math.comb(d, k) * offset ** (d - k)
+        except OverflowError:
+            raise ValueError("degenerate kernel matrix: non-finite entries") from None
         for combo in itertools.combinations_with_replacement(range(rows.shape[1]), k):
             multinomial = math.factorial(k) // math.prod(
                 math.factorial(combo.count(i)) for i in set(combo))

@@ -243,8 +243,7 @@ def _pipeline_cells(spec: ScenarioSpec, columns: dict, errors: dict,
             if depth not in grid.depths:
                 continue
             try:
-                decision = fit_decision(train_features.values, config.confidence,
-                                        config.norm_order)
+                decision = fit_decision(train_features.values, config.confidence)
                 result = score(decision, test_features, test)
             except ValueError as error:
                 cells[depth] = ReportCell(spec.name, PIPELINE_METHOD, depth, None,

@@ -40,7 +40,7 @@ from .transform import (
 )
 
 MAGIC = b"FENETAE1"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 DEFAULT_LAYER_TEMPLATE = LayerConfig(window_width=150, subset_size=5)
 
@@ -58,7 +58,6 @@ class PipelineConfig:
     layer_template: LayerConfig = DEFAULT_LAYER_TEMPLATE
     layers: tuple[LayerConfig, ...] = ()
     confidence: float = 0.99
-    norm_order: int = 1
     master_seed: int = 0
 
     def __post_init__(self):
@@ -71,8 +70,6 @@ class PipelineConfig:
             )
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
-        if self.norm_order < 1:
-            raise ValueError("norm_order must be at least 1")
         if not (0 <= self.master_seed < 2**64):
             raise ValueError("master_seed must fit in 64 unsigned bits")
 
@@ -113,11 +110,6 @@ class FenetModel:
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
-        if self.decision.norm_order != self.config.norm_order:
-            raise ValueError(
-                f"decision norm_order {self.decision.norm_order} disagrees with "
-                f"config norm_order {self.config.norm_order}"
-            )
 
 
 def resolve_layer_configs(config: PipelineConfig) -> list:
@@ -206,7 +198,7 @@ def fit(train: ProcessDataset, config: PipelineConfig = PipelineConfig()) -> Fen
     bank = fit_detector_bank(train, config.bank)
     for layers, features, _ in stages(layer_configs, build_feature_matrix(bank, train)):
         pass
-    decision = fit_decision(features.values, config.confidence, config.norm_order)
+    decision = fit_decision(features.values, config.confidence)
     return FenetModel(bank, layers, decision,
                       replace(config, layers=tuple(layer_configs)))
 

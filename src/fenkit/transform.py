@@ -89,6 +89,8 @@ class LayerConfig:
             raise ValueError("pca_variance_fraction must lie in (0, 1]")
         if self.code_dim < 1:
             raise ValueError("code_dim must be positive")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ValueError(f"hidden_dims widths must be positive, got {self.hidden_dims}")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
 

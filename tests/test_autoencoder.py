@@ -480,10 +480,10 @@ class TestTrain:
 
     @staticmethod
     def assert_matches_public_gradient_loop(ae, data, config):
-        """train is gradients() plus adam_step over a parameters() list,
-        byte for byte, with the variational noise drawn from the config
-        seed; history[i] is the loss before step i, and the caller's
-        data keeps its bytes."""
+        """train is gradients() plus adam_step at Adam's recommended
+        constants over a parameters() list, byte for byte, with the
+        variational noise drawn from the config seed; history[i] is the
+        loss before step i, and the caller's data keeps its bytes."""
         data_bytes = data.tobytes()
         trained, history = train(ae, data, config)
         assert data.tobytes() == data_bytes
@@ -498,7 +498,7 @@ class TestTrain:
             assert history[epoch] == loss(current, data, config.l1_weight, noise)[0]
             grads = gradients(current, data, config.l1_weight, noise)
             params, state = adam_step(params, grads, state, config.learning_rate,
-                                      config.beta1, config.beta2, config.eps_adam)
+                                      beta1=0.9, beta2=0.999, eps=1e-8)
         assert len(history) == config.epochs
         for expected, actual in zip(params, parameters(trained), strict=True):
             assert expected.tobytes() == actual.tobytes()
@@ -544,6 +544,13 @@ class TestTrain:
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
             train(small_net(PLAIN), np.zeros((4, 5)), TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        """Seed -1 used to fail only at fit, inside numpy, and 2**70 was
+        accepted and saved."""
+        with pytest.raises(ValueError, match="seed must fit in 64 unsigned bits"):
+            TrainConfig(epochs=1, seed=seed)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -84,11 +84,11 @@ class TestCsv:
         assert path.read_text().startswith("-0.0,5e-324,1.7976931348623157e+308,0.1\n")
         assert load_csv(path).values.tobytes() == values.tobytes()
 
-    def test_header_skipped(self, tmp_path):
+    def test_header_line_is_a_non_numeric_row(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1.0,2.0\n")
-        loaded = load_csv(path, has_header=True)
-        np.testing.assert_array_equal(loaded.values, [[1.0, 2.0]])
+        with pytest.raises(ValueError, match="line 1, column 1: 'a'"):
+            load_csv(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

@@ -1,8 +1,6 @@
 """Decision-layer contracts: index formula against a direct oracle,
 control-limit calibration, and strict-inequality alarms."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,8 @@ from fenkit.decision import DecisionModel, alarms, detection_index, fit_decision
 from fenkit.numerics import EPS_STD
 
 
-def decision_model(mean, std, norm_order, limit):
-    return DecisionModel(ScalerStats(mean, std), norm_order, limit)
+def decision_model(mean, std, limit):
+    return DecisionModel(ScalerStats(mean, std), limit)
 
 
 def gaussian_codes(seed, n=500, dim=6):
@@ -50,13 +48,11 @@ class TestFitDecision:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            decision_model(np.zeros(3), np.ones(3), 0, 1.0)
-        with pytest.raises(ValueError):
-            decision_model(np.zeros(3), np.ones(3), 1, -1.0)
+            decision_model(np.zeros(3), np.ones(3), -1.0)
         with pytest.raises(ValueError):
             fit_decision(gaussian_codes(0), confidence=1.0)
         with pytest.raises(ValueError):
-            decision_model(np.zeros(3), np.zeros(3), 1, 1.0)
+            decision_model(np.zeros(3), np.zeros(3), 1.0)
 
     @pytest.mark.parametrize("field", ["limit", "mean", "std"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -66,7 +62,7 @@ class TestFitDecision:
         state = {"mean": np.zeros(3), "std": np.ones(3), "limit": 1.0}
         state[field] = np.full(3, value) if field != "limit" else value
         with pytest.raises(ValueError, match="finite"):
-            decision_model(state["mean"], state["std"], 1, state["limit"])
+            decision_model(state["mean"], state["std"], state["limit"])
 
 
 class TestDetectionIndex:
@@ -89,30 +85,11 @@ class TestDetectionIndex:
             np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
                                        rtol=1e-12)
 
-    def test_two_norm_option(self):
-        codes = gaussian_codes(7)
-        model = fit_decision(codes, norm_order=2)
-        code = codes[0]
-        expected = np.linalg.norm((code - model.scaler.mean) / model.scaler.std)
-        np.testing.assert_allclose(detection_index(model, code[None, :]), expected,
-                                   rtol=1e-12)
-
-    def test_huge_norm_order_gives_row_maximum(self):
-        """A loadable norm_order of 1e300 used to overflow z**p to inf; the
-        index is then each row's largest standardized entry."""
-        model = decision_model(np.zeros(3), np.full(3, 2.0), int(1e300), limit=1.0)
-        codes = np.array([[1.0, -6.0, 4.0], [0.0, 0.0, 0.0], [3e300, -3e300, 1.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            index = detection_index(model, codes)
-        np.testing.assert_array_equal(index, [3.0, 0.0, 1.5e300])
-
     def test_translation_covariance(self):
         """Shifting codes and mean together leaves every index fixed."""
         model = fit_decision(gaussian_codes(8))
         shift = np.arange(6.0)
-        shifted = decision_model(model.scaler.mean + shift, model.scaler.std,
-                                 model.norm_order, model.limit)
+        shifted = decision_model(model.scaler.mean + shift, model.scaler.std, model.limit)
         rng = np.random.default_rng(9)
         codes = rng.standard_normal((20, 6))
         np.testing.assert_allclose(detection_index(shifted, codes + shift),
@@ -148,7 +125,7 @@ class TestDetectionIndex:
 
 class TestAlarms:
     def make_model(self, limit):
-        return decision_model(np.zeros(2), np.ones(2), 1, limit)
+        return decision_model(np.zeros(2), np.ones(2), limit)
 
     def test_all_below_limit(self):
         model = self.make_model(10.0)

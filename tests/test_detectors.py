@@ -657,6 +657,18 @@ class TestKpca:
                 ValueError, match="degenerate kernel matrix: non-finite entries"):
             fit_kpca_detector(data, "poly", degree=3.0, offset=1e200)
 
+    @pytest.mark.filterwarnings("error")
+    def test_primal_weight_overflow_named(self):
+        """A feature-map weight C(d, k) c^(d-k) past the float range fails
+        the primal fit with the dual form's error, where the weight used to
+        raise a bare OverflowError; offsets whose weights fit still fit."""
+        data = correlated_data(48)
+        with pytest.raises(ValueError, match="degenerate kernel matrix: non-finite entries"):
+            fit_kpca_detector(data, "poly", degree=3.0, offset=1e200)
+        for offset in (1e50, 1e100):
+            model = fit_kpca_detector(data, "poly", degree=3.0, offset=offset)
+            assert model.train_rows.shape[0] == 0  # the primal form
+
     @pytest.mark.parametrize("n", [1, 40, 42])
     def test_rbf_matches_reference_bitwise(self, n):
         """One squared-distance matrix serves the median heuristic and the

@@ -89,7 +89,6 @@ class TestPipelineConfig:
         assert config.layer_template == DEFAULT_LAYER_TEMPLATE
         assert config.layers == ()
         assert config.confidence == 0.99
-        assert config.norm_order == 1
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="l_max"):
@@ -102,10 +101,6 @@ class TestPipelineConfig:
     def test_confidence_bounds(self):
         with pytest.raises(ValueError, match="confidence"):
             PipelineConfig(confidence=1.0)
-
-    def test_norm_order_bounds(self):
-        with pytest.raises(ValueError, match="norm_order"):
-            PipelineConfig(norm_order=0)
 
     def test_template_resolution_derives_distinct_seeds(self):
         """Each layer gets its own subset seed and training seed, all
@@ -328,7 +323,7 @@ def model_header(bank=MD1_BANK, layers="[]", config='{"type": "PipelineConfig"}'
     """Header of a depth-0 FenetModel over one variable: an MD1 bank and
     a decision whose arrays all read the data block's 1.0."""
     decision = ('{"type": "DecisionModel", "scaler": {"type": "ScalerStats", "mean": %s, '
-                '"std": %s}, "norm_order": 1, "limit": 0.0}' % (ONE, ONE))
+                '"std": %s}, "limit": 0.0}' % (ONE, ONE))
     return ('{"type": "FenetModel", "bank": %s, "layers": %s, "decision": %s, '
             '"config": %s}' % (bank, layers, decision, config))
 
@@ -465,11 +460,11 @@ class TestModelFile:
             load(path)
 
     def test_old_version_asks_for_refit(self, fitted, tmp_path):
-        """Files of versions 1 to 4 are not read; the message names the
+        """Files of versions 1 to 5 are not read; the message names the
         version and says to refit."""
         path = tmp_path / "model.fenet"
         save(fitted, path)
-        for version in (1, 2, 3, 4):
+        for version in (1, 2, 3, 4, 5):
             body = bytearray(path.read_bytes()[:-32])
             struct.pack_into("<I", body, len(MAGIC), version)
             path.write_bytes(bytes(body) + hashlib.sha256(body).digest())
@@ -490,8 +485,8 @@ class TestModelFile:
             '"mean": %s, "std": %s}, "lags": 1.5}]}'
             % ((EMPTY_ARRAY,) * 4))), 0, "'lags' of PcaDetector holds float",
             id="lags-not-an-int"),
-        pytest.param(model_header(config='{"type": "PipelineConfig", "norm_order": true}'),
-                     0, "'norm_order' of PipelineConfig holds bool",
+        pytest.param(model_header(config='{"type": "PipelineConfig", "master_seed": true}'),
+                     0, "'master_seed' of PipelineConfig holds bool",
                      id="bool-in-int-field"),
         pytest.param("{}", 0, "unknown type None", id="empty-object"),
         pytest.param('{"bank": {}}', 0, "unknown type None", id="untyped"),
@@ -513,6 +508,16 @@ class TestModelFile:
         pytest.param(model_header().replace('"limit": 0.0', '"limit": 0.0, "confidence": 0.99'),
                      0, "unknown field 'confidence' in DecisionModel",
                      id="v2-decision-confidence"),
+        pytest.param(model_header().replace('"limit": 0.0', '"norm_order": 1, "limit": 0.0'),
+                     0, "unknown field 'norm_order' in DecisionModel",
+                     id="v5-decision-norm-order"),
+        pytest.param(model_header(config='{"type": "PipelineConfig", "norm_order": 1}'),
+                     0, "unknown field 'norm_order' in PipelineConfig",
+                     id="v5-config-norm-order"),
+        pytest.param('{"type": "TrainConfig", "epochs": 1, "beta1": 0.9}', 0,
+                     "unknown field 'beta1' in TrainConfig", id="v5-train-beta1"),
+        pytest.param('{"type": "TrainConfig", "epochs": 1, "seed": -1}', 0,
+                     "seed must fit in 64 unsigned bits", id="negative-train-seed"),
         pytest.param(model_header()[:-1] + ', "format_version": 2}', 0,
                      "unknown field 'format_version' in FenetModel",
                      id="v2-format-version"),
@@ -549,7 +554,8 @@ class TestModelFile:
         """A layer keeps its window width but not its LayerConfig, which
         lives only in the model's config; the autoencoder's code width is
         its decoder's input width; the decision's mean and std are its
-        ScalerStats."""
+        ScalerStats; the fixed norm order and Adam constants are stored
+        nowhere."""
         path = tmp_path / "model.fenet"
         save(variant_model, path)
         headers = []
@@ -562,8 +568,15 @@ class TestModelFile:
             assert "LayerConfig" not in {kind for kind, _ in typed_nodes(layer)}
         assert all("code_dim" not in node for kind, node in nodes if kind == "Autoencoder")
         (decision,) = [node for kind, node in nodes if kind == "DecisionModel"]
-        assert set(decision) == {"type", "scaler", "norm_order", "limit"}
+        assert set(decision) == {"type", "scaler", "limit"}
         assert decision["scaler"]["type"] == "ScalerStats"
+        (config,) = [node for kind, node in nodes if kind == "PipelineConfig"]
+        assert set(config) == {"type", "bank", "l_max", "layer_template", "layers",
+                               "confidence", "master_seed"}
+        trainings = [node for kind, node in nodes if kind == "TrainConfig"]
+        assert len(trainings) == 3
+        assert all(set(node) == {"type", "epochs", "learning_rate", "l1_weight", "seed"}
+                   for node in trainings)
 
     @pytest.mark.parametrize("locate", [
         pytest.param(lambda header: header["bank"]["detectors"][0]["scaler"]["std"],
@@ -591,26 +604,6 @@ class TestModelFile:
         rewrite_model(path, narrow)
         with pytest.raises(ValueError, match="window_width 4 must exceed the 4 input"):
             load(path)
-
-    def test_norm_order_disagreement_rejected(self, fitted, tmp_path):
-        """The decision scores with its own norm order, so a header whose
-        decision and config disagree fails at load; equal edits load."""
-        path = tmp_path / "model.fenet"
-        save(fitted, path)
-
-        def set_norm_order(decision_order, config_order):
-            def edit(header, data):
-                header["decision"]["norm_order"] = decision_order
-                header["config"]["norm_order"] = config_order
-            return edit
-
-        rewrite_model(path, set_norm_order(3, 1))
-        with pytest.raises(ValueError, match="decision norm_order 3 disagrees with "
-                                             "config norm_order 1"):
-            load(path)
-        rewrite_model(path, set_norm_order(3, 3))
-        model = load(path)
-        assert model.decision.norm_order == model.config.norm_order == 3
 
     def test_numbers_load_into_int_and_float_fields(self, tmp_path):
         """Variant("sparse", beta=1) is saved with the JSON integer 1 and
@@ -642,7 +635,7 @@ class TestConfigFile:
                 training=TrainConfig(epochs=10, learning_rate=0.01),
                 hidden_dims=(8,),
             ),
-            confidence=0.95, norm_order=2, master_seed=17,
+            confidence=0.95, master_seed=17,
         )
         path = tmp_path / "pipeline.ini"
         write_pipeline_config(config, path)
@@ -661,11 +654,14 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("section, key", [
         ("pipeline", "lmax"), ("detectors", "member"), ("layer", "window"),
-        ("layer", "sparse_rh"), ("training", "epoch"),
+        ("layer", "sparse_rh"), ("training", "epoch"), ("pipeline", "norm_order"),
+        ("training", "beta1"), ("training", "beta2"), ("training", "eps_adam"),
     ])
     def test_unknown_key_rejected(self, tmp_path, section, key):
         """A mistyped key fails by name instead of leaving its field at the
-        default ([training] epoch = 5 used to train 2000 epochs)."""
+        default ([training] epoch = 5 used to train 2000 epochs), and so do
+        the keys of the fixed norm order and Adam constants that older
+        files hold."""
         path = tmp_path / "pipeline.ini"
         write_pipeline_config(PipelineConfig(), path)
         text = path.read_text().replace(f"[{section}]\n", f"[{section}]\n{key} = 5\n")
@@ -688,6 +684,12 @@ class TestConfigFile:
         path = tmp_path / "pipeline.ini"
         path.write_text("[pipeline]\n[detectors]\n[layer]\nhidden_dims = 8 x\n[training]\n")
         with pytest.raises(ValueError, match="hidden_dims = '8 x'"):
+            read_pipeline_config(path)
+
+    def test_zero_hidden_width_rejected(self, tmp_path):
+        path = tmp_path / "pipeline.ini"
+        path.write_text("[pipeline]\n[detectors]\n[layer]\nhidden_dims = 0\n[training]\n")
+        with pytest.raises(ValueError, match="hidden_dims widths must be positive"):
             read_pipeline_config(path)
 
     def test_fitted_model_config_writes(self, tmp_path):

@@ -85,8 +85,7 @@ def layer_templates(draw):
                       beta=draw(st.floats(0.0, 1e6)))
     training = TrainConfig(
         epochs=draw(st.integers(0, 10_000)), learning_rate=draw(positive_floats()),
-        l1_weight=draw(st.floats(0.0, 1e6)), beta1=draw(unit_interval(False)),
-        beta2=draw(unit_interval(False)), eps_adam=draw(positive_floats()))
+        l1_weight=draw(st.floats(0.0, 1e6)))
     return LayerConfig(
         window_width=draw(st.integers(subset_size + 1, 500)), subset_size=subset_size,
         max_subsets=draw(COUNTS), pca_variance_fraction=draw(unit_interval()),
@@ -104,8 +103,7 @@ def template_configs(draw):
         dpca_lags=draw(st.integers(0, 20)))
     return PipelineConfig(
         bank=bank, l_max=draw(st.integers(0, 4)), layer_template=draw(layer_templates()),
-        confidence=draw(unit_interval(closed_top=False)),
-        norm_order=draw(st.integers(1, 8)), master_seed=draw(SEEDS))
+        confidence=draw(unit_interval(closed_top=False)), master_seed=draw(SEEDS))
 
 
 @st.composite
@@ -510,8 +508,8 @@ def degenerate_codes(draw):
 class TestDegenerateCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @SETTINGS
-    @given(degenerate_codes(), unit_interval(), st.integers(1, 3))
-    def test_reduction_and_decision(self, codes, fraction, norm_order):
+    @given(degenerate_codes(), unit_interval())
+    def test_reduction_and_decision(self, codes, fraction):
         """Finite output or ValueError, and no float warning, from both
         fits; an exactly constant matrix raises in the PCA reduction."""
         constant = np.all(codes == codes[:1])
@@ -524,7 +522,7 @@ class TestDegenerateCodes:
             assert np.all(np.isfinite(reduction.projection))
             assert np.all(np.isfinite(reduced))
         try:
-            decision = fit_decision(codes, norm_order=norm_order)
+            decision = fit_decision(codes)
         except ValueError:
             return
         assert np.all(np.isfinite(decision.scaler.mean)) and np.isfinite(decision.limit)

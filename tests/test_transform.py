@@ -535,6 +535,16 @@ class TestLayerConfig:
         with pytest.raises(ValueError):
             small_config(code_dim=0)
 
+    @pytest.mark.parametrize("hidden_dims", [(0,), (-3,), (16, 0), (0, 8)])
+    def test_hidden_width_below_one_rejected(self, hidden_dims):
+        """A zero width used to fit a model whose limit is 0.0 and which
+        never alarms; a negative one failed only at fit, inside numpy."""
+        with pytest.raises(ValueError, match="hidden_dims widths must be positive"):
+            small_config(hidden_dims=hidden_dims)
+
+    def test_no_hidden_layers_accepted(self):
+        assert small_config(hidden_dims=()).hidden_dims == ()
+
     def test_derive_seed_deterministic(self):
         assert derive_seed(42, 0) == derive_seed(42, 0)
         assert derive_seed(42, 0) != derive_seed(42, 1)
