@@ -76,20 +76,19 @@ def _command_train(args) -> None:
     model = fit(data, config)
     with _removed_on_failure(args.model):
         save(model, args.model)
-
-    print(f"trained on {data.n_samples} rows x {data.n_variables} variables, "
-          f"master seed {config.master_seed}")
-    features = build_feature_matrix(model.bank, data)
-    print(f"detector bank: {features.n_features} features")
-    for index, (layer, recipe) in enumerate(zip(model.layers, model.config.layers)):
-        total, parts, features = layer_loss(layer, features, recipe.training.l1_weight)
-        parts_text = ", ".join(f"{name} {value:.6g}"
-                               for name, value in parts.items())
-        print(f"layer {index}: {layer.input_features} -> "
-              f"{features.n_features} features, {features.n_samples} rows, "
-              f"final loss {total:.6g} ({parts_text})")
-    print(f"decision: limit {model.decision.limit:.6g} at "
-          f"{100.0 * model.config.confidence:g}% confidence")
+        print(f"trained on {data.n_samples} rows x {data.n_variables} variables, "
+              f"master seed {config.master_seed}")
+        features = build_feature_matrix(model.bank, data)
+        print(f"detector bank: {features.n_features} features")
+        for index, (layer, recipe) in enumerate(zip(model.layers, model.config.layers)):
+            total, parts, features = layer_loss(layer, features, recipe.training.l1_weight)
+            parts_text = ", ".join(f"{name} {value:.6g}"
+                                   for name, value in parts.items())
+            print(f"layer {index}: {layer.input_features} -> "
+                  f"{features.n_features} features, {features.n_samples} rows, "
+                  f"final loss {total:.6g} ({parts_text})")
+        print(f"decision: limit {model.decision.limit:.6g} at "
+              f"{100.0 * model.config.confidence:g}% confidence")
     print(f"model written to {args.model}")
 
 

@@ -31,6 +31,14 @@ BANK_MEMBERS = ("pca", "dpca", "md1", "md2", "md3")
 
 _COVARIANCE_RIDGE = 1e-6
 
+# The kernel PCA baselines' fixed settings: the poly kernel is
+# (x.y + 1)^_POLY_DEGREE, a fit keeps the components that reach
+# _KPCA_VARIANCE_FRACTION of the variance, and training rows beyond
+# _MAX_TRAIN_ROWS are thinned by a deterministic stride.
+_POLY_DEGREE = 3
+_KPCA_VARIANCE_FRACTION = 0.95
+_MAX_TRAIN_ROWS = 2000
+
 
 @dataclass(frozen=True)
 class PcaDetector:
@@ -94,7 +102,8 @@ class KpcaDetector:
     row_mean and grand_mean, times the kernel eigenvectors alphas.  Primal
     form, marked by empty train_rows: the sample's explicit feature map
     less its training mean row_mean, times alphas = V S from the thin SVD
-    of the centred training feature matrix; grand_mean is unused."""
+    of the centred training feature matrix; grand_mean is unused.  The
+    bandwidth is rbf's median heuristic, and 1.0 for the other kernels."""
 
     kernel: str
     scaler: ScalerStats
@@ -103,8 +112,6 @@ class KpcaDetector:
     row_mean: np.ndarray
     grand_mean: float
     score_variance: np.ndarray
-    degree: float = 3.0
-    offset: float = 1.0
     bandwidth: float = 1.0
 
     def __post_init__(self):
@@ -289,12 +296,12 @@ def _rbf_from_squared(sq: np.ndarray, bandwidth: float) -> np.ndarray:
     return np.exp(sq, out=sq)
 
 
-def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray, degree: float = 3.0,
-                  offset: float = 1.0, bandwidth: float = 1.0) -> np.ndarray:
+def kernel_matrix(kind: str, a: np.ndarray, b: np.ndarray,
+                  bandwidth: float = 1.0) -> np.ndarray:
     if kind == "poly":
         gram = a @ b.T
-        gram += offset
-        gram **= degree
+        gram += 1.0
+        gram **= _POLY_DEGREE
         return gram
     if kind == "rbf":
         return _rbf_from_squared(_squared_distances(a, b), bandwidth)
@@ -315,41 +322,29 @@ def _median_distance(sq: np.ndarray) -> float:
     return float(np.median(np.sqrt(distances, out=distances), overwrite_input=True))
 
 
-def median_pairwise_distance(rows: np.ndarray) -> float:
-    return _median_distance(_squared_distances(rows, rows))
-
-
-def _feature_map_width(kernel: str, m: int, degree: float, offset: float):
+def _feature_map_width(kernel: str, m: int):
     """Columns of the kernel's explicit feature map over m inputs, or None
-    when it has none: rbf, and poly at a negative offset, which
-    fit_kpca_detector admits at degree 1 only.  At offset 0 only the
-    top-degree monomials remain."""
+    for rbf, which has none."""
     if kernel == "cosine":
         return m
-    if kernel == "poly" and offset >= 0:
-        d = int(degree)
-        return math.comb(m + d, d) if offset > 0 else math.comb(m + d - 1, d)
+    if kernel == "poly":
+        return math.comb(m + _POLY_DEGREE, _POLY_DEGREE)
     return None
 
 
-def _feature_map(kernel: str, rows: np.ndarray, degree: float, offset: float) -> np.ndarray:
-    """phi with phi(x) . phi(y) = k(x, y) for a kernel _feature_map_width
-    accepts.  (x.y + c)^d expands into the monomials x^a with |a| = k <= d,
-    each weighted by sqrt(C(d, k) c^(d-k) multinomial(k; a)); a weight
-    past the float range raises the dual form's non-finite ValueError."""
+def _feature_map(kernel: str, rows: np.ndarray) -> np.ndarray:
+    """phi with phi(x) . phi(y) = k(x, y) for cosine or poly.  (x.y + 1)^d
+    expands into the monomials x^a with |a| = k <= d, each weighted by
+    sqrt(C(d, k) multinomial(k; a))."""
     if kernel == "cosine":
         return _unit_rows(rows)
-    d = int(degree)
     columns = []
-    for k in range(0 if offset > 0 else d, d + 1):
-        try:
-            scale = math.comb(d, k) * offset ** (d - k)
-        except OverflowError:
-            raise ValueError("degenerate kernel matrix: non-finite entries") from None
+    for k in range(_POLY_DEGREE + 1):
         for combo in itertools.combinations_with_replacement(range(rows.shape[1]), k):
             multinomial = math.factorial(k) // math.prod(
                 math.factorial(combo.count(i)) for i in set(combo))
-            columns.append(math.sqrt(scale * multinomial) * np.prod(rows[:, combo], axis=1))
+            columns.append(math.sqrt(math.comb(_POLY_DEGREE, k) * multinomial)
+                           * np.prod(rows[:, combo], axis=1))
     return np.column_stack(columns)
 
 
@@ -373,19 +368,15 @@ def _require_positive(eigenvalues: np.ndarray) -> None:
         raise ValueError("degenerate kernel matrix: no positive eigenvalues")
 
 
-def fit_kpca_detector(train: ProcessDataset, kernel: str,
-                      variance_fraction: float = 0.95, degree: float = 3.0,
-                      offset: float = 1.0, bandwidth: float | None = None,
-                      max_train_rows: int = 2000) -> KpcaDetector:
-    """Kernel PCA on (capped) standardized training rows.
+def fit_kpca_detector(train: ProcessDataset, kernel: str) -> KpcaDetector:
+    """Kernel PCA on standardized training rows, thinned by a deterministic
+    stride to at most _MAX_TRAIN_ROWS, keeping the components that reach
+    _KPCA_VARIANCE_FRACTION of the variance.
 
-    Every kernel admitted here is positive semi-definite by construction
-    (Shawe-Taylor & Cristianini 2004, ch. 3): rbf, cosine, and poly with
-    an integer degree >= 1 and a finite offset >= 0, as a sum of products
-    of the linear kernel with non-negative weights.  At degree 1 any
-    finite offset is admitted, since the constant centres away and leaves
-    the linear kernel.  Other poly parameters raise ValueError before any
-    work, as they may give an indefinite or non-finite kernel matrix.
+    Every kernel is positive semi-definite by construction (Shawe-Taylor &
+    Cristianini 2004, ch. 3): rbf, with the median pairwise distance of
+    the retained rows as its bandwidth; cosine; and poly, (x.y + 1)^3, a
+    sum of powers of the linear kernel with positive weights.
 
     A kernel with an explicit feature map narrower than the training rows
     is fitted in primal form, by a thin SVD of the centred feature matrix
@@ -395,60 +386,48 @@ def fit_kpca_detector(train: ProcessDataset, kernel: str,
     values, without the full spectrum (numerics.leading_eigenvectors).
     Both forms give the same T2.  The dual fit holds one n x n array, the
     squared distances that become the kernel matrix, plus at most about
-    half of a second (the median's upper triangle), so training rows
-    beyond max_train_rows (at least 2) are thinned by a deterministic
-    stride.  The rbf bandwidth defaults to the median pairwise distance of
-    the retained rows; an explicit one must be finite and positive.
+    half of a second (the median's upper triangle).
     """
-    if max_train_rows < 2:
-        raise ValueError(f"max_train_rows must be at least 2, got {max_train_rows}")
-    if bandwidth is not None and not (math.isfinite(bandwidth) and bandwidth > 0.0):
-        raise ValueError(f"rbf bandwidth must be finite and positive, got {bandwidth}")
-    if kernel == "poly" and not (float(degree).is_integer() and degree >= 1
-                                 and math.isfinite(offset) and (offset >= 0 or degree == 1)):
-        raise ValueError(f"poly kernel needs an integer degree >= 1 and a finite offset "
-                         f">= 0 (any finite offset at degree 1), got degree {degree}, "
-                         f"offset {offset}")
     require_variation(train.values)
     scaler = fit_standardize(train.values)
     rows = standardized(train.values, scaler)
-    if rows.shape[0] > max_train_rows:
-        stride = math.ceil(rows.shape[0] / max_train_rows)
-        rows = rows[::stride][:max_train_rows]
-    width = _feature_map_width(kernel, rows.shape[1], degree, offset)
-    sq = _squared_distances(rows, rows) if kernel == "rbf" else None
-    if sq is not None and bandwidth is None:
-        bandwidth = max(_median_distance(sq), EPS_STD)
-    params = {"degree": degree, "offset": offset,
-              "bandwidth": 1.0 if bandwidth is None else float(bandwidth)}
+    if rows.shape[0] > _MAX_TRAIN_ROWS:
+        stride = math.ceil(rows.shape[0] / _MAX_TRAIN_ROWS)
+        rows = rows[::stride][:_MAX_TRAIN_ROWS]
+    width = _feature_map_width(kernel, rows.shape[1])
+    bandwidth = 1.0
 
     if width is not None and width < rows.shape[0]:
-        centered = _feature_map(kernel, rows, degree, offset)
+        centered = _feature_map(kernel, rows)
         row_mean = centered.mean(axis=0)
         centered -= row_mean
         _, singular, vt = np.linalg.svd(centered, full_matrices=False)
         eigenvalues = singular * singular
         _require_positive(eigenvalues)
-        t = retained_count(eigenvalues, variance_fraction)
+        t = retained_count(eigenvalues, _KPCA_VARIANCE_FRACTION)
         alphas = vt[:t].T * singular[:t]
         train_scores = centered @ alphas
         train_rows, grand_mean = rows[:0], 0.0
     else:
-        centered = (kernel_matrix(kernel, rows, rows, **params) if sq is None
-                    else _rbf_from_squared(sq, params["bandwidth"]))
+        if kernel == "rbf":
+            sq = _squared_distances(rows, rows)
+            bandwidth = max(_median_distance(sq), EPS_STD)
+            centered = _rbf_from_squared(sq, bandwidth)
+        else:
+            centered = kernel_matrix(kernel, rows, rows)
         row_mean = centered.mean(axis=1)
         grand_mean = float(centered.mean())
         _center_symmetric(centered, row_mean, grand_mean)
         if not np.all(np.isfinite(centered)):  # the eigensolver would raise LinAlgError
             raise ValueError("degenerate kernel matrix: non-finite entries")
-        eigenvalues, alphas = leading_eigenvectors(centered, variance_fraction)
+        eigenvalues, alphas = leading_eigenvectors(centered, _KPCA_VARIANCE_FRACTION)
         _require_positive(eigenvalues)
         train_scores = centered @ alphas
         train_rows = rows
 
     score_variance = np.maximum(train_scores.var(axis=0, ddof=1), EPS_STD ** 2)
     return KpcaDetector(kernel, scaler, train_rows, alphas, row_mean, grand_mean,
-                        score_variance, **params)
+                        score_variance, bandwidth)
 
 
 def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
@@ -465,12 +444,10 @@ def score_kpca(model: KpcaDetector, values: np.ndarray) -> np.ndarray:
     kernel choice may move the last bits."""
     rows = standardized(_sample_matrix(values, model), model.scaler)
     if model.train_rows.shape[0] == 0:
-        return _t2(model, _feature_map(model.kernel, rows, model.degree, model.offset)
-                   - model.row_mean)
+        return _t2(model, _feature_map(model.kernel, rows) - model.row_mean)
     t2 = []
     for block in np.array_split(rows, max(1, -(-rows.shape[0] // _CENTER_BLOCK_ROWS))):
-        centered = kernel_matrix(model.kernel, block, model.train_rows, degree=model.degree,
-                                 offset=model.offset, bandwidth=model.bandwidth)
+        centered = kernel_matrix(model.kernel, block, model.train_rows, model.bandwidth)
         centered -= centered.mean(axis=1, keepdims=True)
         centered -= model.row_mean
         centered += model.grand_mean

@@ -357,11 +357,15 @@ def read_report_csv(path) -> ExperimentReport:
         raise FileNotFoundError(f"report file not found: {path}") from None
     if not rows or tuple(rows[0]) != _CSV_COLUMNS:
         raise ValueError(f"{path}: not a report file")
-    cells = []
+    cells, shared = [], {}
     for number, row in enumerate(rows[1:], start=2):
         if len(row) != len(_CSV_COLUMNS):
             raise ValueError(f"{path}: malformed report row {row!r}")
         values = dict(zip(_CSV_COLUMNS, row))
+        for name in _REPORT_COLUMNS:
+            if shared.setdefault(name, values[name]) != values[name]:
+                raise ValueError(f"{path} row {number}: {name} {values[name]!r} differs from "
+                                 f"row 2's {shared[name]!r}; a report file holds one report")
         cells.append(read_section(values, f"{path} row {number}", ReportCell,
                                   shared=_REPORT_COLUMNS))
     if not cells:

@@ -163,6 +163,24 @@ class TestTrain:
                      "--model", str(tmp_path / "model.fenet")]) == 0
         assert len(calls) == 4
 
+    def test_model_removed_when_summary_fails(self, workspace, tmp_path, monkeypatch,
+                                              capsys):
+        """The summary runs after the save; when it fails, the command
+        removes the model it wrote, as every failing command does."""
+        import fenkit.cli as cli_module
+
+        def failing(*args):
+            raise ValueError("summary failed")
+
+        monkeypatch.setattr(cli_module, "layer_loss", failing)
+        model_path = tmp_path / "m.fenet"
+        code = main(["train", "--train", str(workspace / "data" / "train.csv"),
+                     "--config", str(workspace / "pipeline.ini"),
+                     "--model", str(model_path)])
+        assert code == 1
+        assert "summary failed" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_retrain_is_byte_identical(self, workspace, tmp_path):
         other = tmp_path / "model.fenet"
         assert main(["train", "--train", str(workspace / "data" / "train.csv"),

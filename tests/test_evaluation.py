@@ -33,6 +33,7 @@ from fenkit.evaluation import (
     format_report,
     grid_hash,
     read_grid,
+    read_report_csv,
     resolve_scenario,
     run_experiment,
     write_report,
@@ -487,6 +488,23 @@ class TestReportFiles:
             name = f"report_{report.config_hash}.{suffix}"
             assert (first_dir / name).read_bytes() \
                 == (second_dir / name).read_bytes()
+
+    def test_merged_reports_rejected(self, small_report, tmp_path):
+        """Rows of two reports in one file raise, naming the file and the
+        first row whose config_hash or master_seed differs from row 2's,
+        instead of reading back as one report with the last row's."""
+        _, report = small_report
+        _, csv_path = write_report(report, tmp_path)
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        header = rows[0]
+        for row in rows[2:]:
+            row[header.index("config_hash")] = "0123456789ab"
+            row[header.index("master_seed")] = str(report.master_seed + 1)
+        with open(csv_path, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        with pytest.raises(ValueError, match=f"{csv_path} row 3: master_seed "):
+            read_report_csv(csv_path)
 
     def test_rate_formatting(self, small_report):
         _, report = small_report
